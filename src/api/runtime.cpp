@@ -355,6 +355,7 @@ Execution Runtime::submit(GraphSpec& spec, Key sink, const SubmitOptions& so) {
   };
   st->job.lane = static_cast<std::uint8_t>(so.priority);
   st->job.deadline_ns = so.deadline_ns;
+  st->job.on_complete = so.on_complete;
   sched_->submit(st->job);
   return Execution(st.release());
 }
@@ -417,8 +418,8 @@ Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) 
   // The whole replay submit path is allocation-free once the plan's
   // instance pool is warm — for ANY SubmitOptions value: acquire + reset
   // reuse a pooled instance, the RootJob and its bound closure are embedded
-  // in it, lane/deadline/name are plain stores, and this handle is just a
-  // pointer at the embedded state.
+  // in it, lane/deadline/name/hook are plain stores, and this handle is
+  // just a pointer at the embedded state.
   plan::PlanInstance* inst = plan.acquire();
   detail::ExecutionState& st = inst->exec_state();
   st.sched = sched_.get();
@@ -426,6 +427,7 @@ Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) 
   st.name = so.name;
   st.job.lane = static_cast<std::uint8_t>(so.priority);
   st.job.deadline_ns = so.deadline_ns;
+  st.job.on_complete = so.on_complete;
   if (plan.serial_lowered()) {
     // Tiny-graph lowering: the whole replay runs right here on the
     // submitting thread — no scheduler round-trip, no worker wake, no
@@ -478,6 +480,7 @@ void fill_batch_state(detail::ExecutionState& st, rt::Scheduler& sched,
   st.name = so.name;
   st.job.lane = static_cast<std::uint8_t>(so.priority);
   st.job.deadline_ns = so.deadline_ns;
+  st.job.on_complete = so.on_complete;
   st.attributable = false;
   st.finalized = false;
   st.reset_gen = &reset_gen;

@@ -20,6 +20,14 @@
 //   * name is an optional label for diagnostics; the string is NOT copied
 //     (keeping the default submit path allocation-free) and must outlive
 //     the execution. nullptr = unnamed.
+//   * on_complete is an optional push notification: a function pointer
+//     plus a context, called exactly once when the execution reaches any
+//     terminal state, after done() turns true. It runs on the worker that
+//     finished the execution (or, for an inline tiny-plan replay, on the
+//     submitting thread before submit() returns), so it must not block.
+//     The context must outlive the call — which comes AFTER done(), so
+//     waiting for done() alone does not license freeing it (see
+//     rt::CompletionHook).
 #pragma once
 
 #include <chrono>
@@ -55,6 +63,8 @@ struct SubmitOptions {
   /// Optional diagnostic label (not owned, not copied; must outlive the
   /// execution). nullptr = unnamed.
   const char* name = nullptr;
+  /// Completion push; {nullptr, nullptr} = none. See the contract above.
+  rt::CompletionHook on_complete{};
 };
 
 /// Absolute now_ns() deadline `d` from now — the convenient way to fill
@@ -63,10 +73,11 @@ inline std::uint64_t deadline_in(std::chrono::nanoseconds d) noexcept {
   return now_ns() + static_cast<std::uint64_t>(d.count() > 0 ? d.count() : 0);
 }
 
-/// Lifecycle state / terminal report of one execution, and their canonical
-/// name strings. Defined once in rt/status.h (the trace exporter and the
-/// wire protocol render the same vocabulary); re-exported here as the
-/// public api:: spelling.
+/// Lifecycle state / terminal report of one execution, their canonical
+/// name strings, and the completion hook. Defined once in rt/status.h (the
+/// trace exporter and the wire protocol render the same vocabulary);
+/// re-exported here as the public api:: spelling.
+using rt::CompletionHook;
 using rt::exec_status_name;
 using rt::ExecStatus;
 using rt::Status;

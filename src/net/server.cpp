@@ -70,8 +70,10 @@ void Server::stop() {
   tcp_listen_.reset();
   unix_listen_.reset();
   {
-    // No new sessions can appear (accept thread is gone); join the rest.
+    // No new sessions can appear (accept thread is gone); wake the rest out
+    // of their timerless poll, then join them.
     std::lock_guard<std::mutex> slk(sessions_mu_);
+    for (auto& s : sessions_) s->wake();
     for (auto& s : sessions_) s->join();
     sessions_.clear();
   }
@@ -112,7 +114,7 @@ void Server::accept_loop() {
           slot == tcp_slot ? tcp_listen_.get() : unix_listen_.get();
       (void)unix_slot;
       for (;;) {
-        Fd conn(::accept(lfd, nullptr, nullptr));
+        Fd conn = accept_connection(lfd);
         if (!conn.valid()) break;  // EAGAIN: accepted everything pending
         reap_finished_sessions();
         if (sessions_active_.load(std::memory_order_acquire) >=
@@ -129,9 +131,10 @@ void Server::accept_loop() {
 
 void Server::spawn_session(Fd fd) {
   std::lock_guard<std::mutex> lk(sessions_mu_);
-  sessions_.push_back(
-      std::make_unique<Session>(*this, std::move(fd), next_session_id_++));
-  sessions_.back()->start();
+  auto s = std::make_unique<Session>(*this, std::move(fd), next_session_id_++);
+  // Out of fds for the wake pipe: refuse like max_sessions does, by
+  // closing the connection (the Session owns it).
+  if (s->start()) sessions_.push_back(std::move(s));
 }
 
 void Server::reap_finished_sessions() {

@@ -9,8 +9,11 @@
 // on the runtime's priority lanes.
 //
 // Per-connection Sessions (net/session.h) run on their own thread and own
-// their in-flight executions; admission control is two caps (per-session
-// and global in-flight), answered with BUSY instead of unbounded queueing.
+// their in-flight executions; each RESULT is pushed as soon as its
+// execution completes (a completion hook wakes the session — no polling
+// timer), over sockets with TCP_NODELAY on both ends. Admission control is
+// two caps (per-session and global in-flight), answered with BUSY instead
+// of unbounded queueing.
 // A client that disappears mid-flight gets its executions cooperatively
 // cancelled (cancel-on-disconnect); other sessions are untouched. stop()
 // — also the SIGINT/SIGTERM path of the nabbitc-serve binary — stops
@@ -68,9 +71,7 @@ struct ServerOptions {
   /// listeners open, so the first client's REGISTER is already warm.
   /// False = lazily, on first REGISTER of each spec.
   bool warm_start = true;
-  /// Session poll period while idle (bounds shutdown latency) and the
-  /// write-stall budget after which a client counts as gone.
-  int idle_poll_ms = 20;
+  /// Write-stall budget after which a client counts as gone.
   int io_timeout_ms = 5000;
 };
 

@@ -1,6 +1,9 @@
 #include "net/session.h"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <utility>
 #include <vector>
@@ -41,10 +44,12 @@ Session::Session(Server& server, Fd fd, std::uint64_t id) noexcept
 
 Session::~Session() { join(); }
 
-void Session::start() {
+bool Session::start() {
+  if (!wake_.open(nullptr)) return false;
   server_.sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   server_.sessions_active_.fetch_add(1, std::memory_order_acq_rel);
   thread_ = std::thread([this] { run(); });
+  return true;
 }
 
 void Session::join() {
@@ -56,17 +61,24 @@ void Session::run() {
   bool disconnected = false;
   if (!set_nonblocking(fd_.get(), &err)) disconnected = true;
 
+  pollfd fds[2] = {};
+  fds[0].fd = fd_.get();
+  fds[0].events = POLLIN;
+  fds[1].fd = wake_.read.get();
+  fds[1].events = POLLIN;
   while (!disconnected && alive_ && !server_.stopping()) {
-    // Short poll with work in flight (the sweep is this loop's only way to
-    // notice completions); long poll when idle to keep the thread quiet.
-    const int timeout_ms =
-        inflight_.empty() ? server_.opts_.idle_poll_ms : 1;
-    const int r = poll_readable(fd_.get(), timeout_ms);
-    if (r < 0) {
+    // No timer: requests arrive on the socket, completions and stop() on
+    // the wake pipe.
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
       disconnected = true;
       break;
     }
-    if (r > 0) {
+    // Drain before the sweep below: a hook that fires after this drain
+    // leaves its byte in the pipe, so the next poll cannot sleep through
+    // its completion.
+    if (fds[1].revents != 0) wake_.drain();
+    if (fds[0].revents != 0) {  // POLLIN, POLLHUP or POLLERR: read answers
       if (!pump_socket()) {
         disconnected = true;
         break;
@@ -112,6 +124,12 @@ void Session::run() {
   } else {
     cancel_all();
     drain_all(/*deliver=*/true);  // push terminal (cancelled) results
+  }
+  // Every execution is done, but a hook fires after `done` and touches this
+  // session until its decrement: wait them out before reporting finished
+  // (after which the Server may destroy the session and its wake pipe).
+  while (hooks_armed_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
   }
 
   fd_.reset();
@@ -246,6 +264,7 @@ bool Session::handle_submit(std::span<const std::uint8_t> body) {
         api::deadline_in(std::chrono::nanoseconds(req.deadline_rel_ns));
   }
   so.name = rec.name.empty() ? nullptr : rec.name.c_str();
+  so.on_complete = arm_hooks(1);
 
   rec.t_submit_ns = now_ns();
   rec.exec = server_.runtime_.submit(*rec.plan, so);
@@ -307,6 +326,7 @@ bool Session::handle_submit_batch(std::span<const std::uint8_t> body) {
     const std::uint64_t t_admit = obs::enabled() ? now_ns() : 0;
     std::vector<InFlight*> recs(admitted);
     std::vector<api::SubmitOptions> sos(admitted);
+    const api::CompletionHook hook = arm_hooks(admitted);
     for (std::uint32_t i = 0; i < admitted; ++i) {
       SubmitBatchItem& item = req.items[i];
       const std::uint64_t exec_id = server_.next_exec_id();
@@ -326,6 +346,7 @@ bool Session::handle_submit_batch(std::span<const std::uint8_t> body) {
             api::deadline_in(std::chrono::nanoseconds(item.deadline_rel_ns));
       }
       so.name = rec.name.empty() ? nullptr : rec.name.c_str();
+      so.on_complete = hook;
       m.exec_ids.push_back(exec_id);
     }
     const std::uint64_t t_submit = now_ns();
@@ -377,7 +398,7 @@ bool Session::handle_cancel(std::span<const std::uint8_t> body) {
   const auto it = inflight_.find(req.exec_id);
   if (it != inflight_.end()) {
     m.found = 1;
-    it->second.exec.cancel();  // RESULT still arrives via the sweep
+    it->second.exec.cancel();  // RESULT follows when the execution ends
   }
   WireWriter w;
   encode_cancel_ack(m, w);
@@ -468,6 +489,21 @@ void Session::drain_all(bool deliver) {
     inflight_.begin()->second.exec.wait();
     sweep_completed(deliver && alive_);
   }
+}
+
+api::CompletionHook Session::arm_hooks(std::uint32_t n) noexcept {
+  // Relaxed: submit() publishes the hook to the finishing worker, and the
+  // only reader that needs the count exact is this thread's epilogue.
+  hooks_armed_.fetch_add(n, std::memory_order_relaxed);
+  return {&Session::on_exec_complete, this};
+}
+
+void Session::on_exec_complete(void* ctx) noexcept {
+  auto* self = static_cast<Session*>(ctx);
+  self->wake_.notify();
+  // The hook's last access to the session: once the count can read zero,
+  // the epilogue may finish and the session may be destroyed.
+  self->hooks_armed_.fetch_sub(1, std::memory_order_release);
 }
 
 bool Session::send(FrameType type, const WireWriter& body) noexcept {

@@ -1,16 +1,28 @@
 // One connected client: a thread that speaks the frame protocol and owns
 // that client's in-flight executions.
 //
-// The session loop alternates between socket I/O (poll -> read -> frame
-// reassembly -> dispatch) and sweeping its in-flight table for executions
-// that reached a terminal state, pushing a RESULT frame for each. All
-// Execution handles live in this table, so the lifetime story is simple:
+// The session loop sleeps in poll() on two fds and no timer: the socket
+// (requests: read -> frame reassembly -> dispatch) and its own wake pipe.
+// Every execution it submits carries a completion hook
+// (api::SubmitOptions::on_complete) that writes the wake pipe, and
+// Server::stop() writes it too. Each wakeup sweeps the in-flight table for
+// executions that reached a terminal state and pushes a RESULT frame for
+// each, so a RESULT leaves as soon as its execution ends. All Execution
+// handles live in this table, so the lifetime story is simple:
 // whatever ends the loop — orderly client close, abrupt disconnect,
 // protocol error, or server shutdown — the epilogue either drains (waits
 // and, when the socket still works, delivers) or cancels-then-joins every
 // in-flight execution before the thread exits. Cancel-on-disconnect falls
 // out of that epilogue: a vanished client's executions get
 // Execution::cancel() and nothing else in the server is touched.
+//
+// Hook lifetime: a hook fires after its execution's `done` is published,
+// so the epilogue can observe every execution done while a worker is
+// still inside a hook that touches this session. The session therefore
+// counts armed hooks; the decrement is the hook's last access to the
+// session, and the epilogue waits for the count to reach zero before the
+// thread reports finished (after which the Server may destroy the
+// session and close its wake pipe).
 #pragma once
 
 #include <atomic>
@@ -34,8 +46,12 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  void start();
+  /// Opens the wake pipe and starts the session thread. False (nothing
+  /// started) when the pipe cannot be opened.
+  bool start();
   void join();
+  /// Wakes the session loop (Server::stop() uses it to end the poll).
+  void wake() noexcept { wake_.notify(); }
   bool finished() const noexcept {
     return finished_.load(std::memory_order_acquire);
   }
@@ -82,6 +98,12 @@ class Session {
   /// executions finish.
   void drain_all(bool deliver);
 
+  /// Counts `n` armed completion hooks and returns the hook to put in
+  /// each of their SubmitOptions.
+  api::CompletionHook arm_hooks(std::uint32_t n) noexcept;
+  /// The completion hook: wakes the loop, then disarms (last access).
+  static void on_exec_complete(void* ctx) noexcept;
+
   bool send(FrameType type, const WireWriter& body) noexcept;
   void send_protocol_error(ErrCode code, const std::string& message) noexcept;
 
@@ -90,6 +112,9 @@ class Session {
   std::uint64_t id_;
   std::thread thread_;
   std::atomic<bool> finished_{false};
+  WakePipe wake_;
+  /// Completion hooks armed and not yet returned (see "Hook lifetime").
+  std::atomic<std::uint32_t> hooks_armed_{0};
   FrameAssembler assembler_;
   std::unordered_map<std::uint64_t, InFlight> inflight_;
   /// When the frame currently being dispatched entered dispatch (the

@@ -27,6 +27,11 @@ void set_err(std::string* err, const char* what) {
 
 bool set_cloexec(int fd) { return fcntl(fd, F_SETFD, FD_CLOEXEC) == 0; }
 
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 void Fd::reset() noexcept {
@@ -96,6 +101,15 @@ Fd listen_unix(const std::string& path, std::string* err) {
   return fd;
 }
 
+Fd accept_connection(int listen_fd) {
+  sockaddr_storage peer{};
+  socklen_t len = sizeof(peer);
+  Fd fd(::accept4(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len,
+                  SOCK_CLOEXEC));
+  if (fd.valid() && peer.ss_family == AF_INET) set_nodelay(fd.get());
+  return fd;
+}
+
 Fd connect_tcp_loopback(std::uint16_t port, std::string* err) {
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) {
@@ -111,8 +125,7 @@ Fd connect_tcp_loopback(std::uint16_t port, std::string* err) {
     set_err(err, "connect(127.0.0.1)");
     return {};
   }
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  set_nodelay(fd.get());
   return fd;
 }
 
@@ -201,15 +214,13 @@ bool write_all(int fd, const void* buf, std::size_t n, int timeout_ms) {
 
 bool WakePipe::open(std::string* err) {
   int fds[2];
-  if (::pipe(fds) != 0) {
-    set_err(err, "pipe");
+  if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) != 0) {
+    set_err(err, "pipe2");
     return false;
   }
   read = Fd(fds[0]);
   write = Fd(fds[1]);
-  std::string ignored;
-  return set_nonblocking(read.get(), err) && set_nonblocking(write.get(), err) &&
-         set_cloexec(read.get()) && set_cloexec(write.get());
+  return true;
 }
 
 void WakePipe::notify() noexcept {

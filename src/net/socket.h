@@ -3,9 +3,10 @@
 // RAII fd ownership plus the handful of primitives the net layer needs:
 // loopback-TCP / Unix-domain listeners and connectors, non-blocking reads,
 // poll-bounded writes (MSG_NOSIGNAL — a dead peer is a return code here,
-// never a SIGPIPE), and a self-pipe for waking the accept loop. Everything
-// reports errors by return value + message; nothing in this layer aborts,
-// because every failure mode is reachable from the network.
+// never a SIGPIPE), and a self-pipe for waking the accept loop and the
+// sessions. Everything reports errors by return value + message; nothing
+// in this layer aborts, because every failure mode is reachable from the
+// network.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +51,14 @@ Fd listen_tcp_loopback(std::uint16_t port, std::uint16_t* bound_port,
 /// Listening Unix-domain socket at `path` (unlinked first if stale).
 Fd listen_unix(const std::string& path, std::string* err);
 
+/// Accepts one pending connection from listener `listen_fd`: close-on-exec,
+/// and TCP_NODELAY on TCP connections (both ends of every TCP connection
+/// this layer makes run with Nagle off — a small reply written right
+/// after another must not wait for the peer's delayed ACK). Invalid Fd
+/// when nothing is pending (EAGAIN on a non-blocking listener) or on error.
+Fd accept_connection(int listen_fd);
+
+/// Connects to 127.0.0.1:`port` with TCP_NODELAY set.
 Fd connect_tcp_loopback(std::uint16_t port, std::string* err);
 Fd connect_unix(const std::string& path, std::string* err);
 

@@ -194,7 +194,11 @@ class WireWriter {
   std::vector<std::uint8_t> frame(FrameType type) const {
     std::vector<std::uint8_t> out(kFrameHeaderBytes + buf_.size());
     write_frame_header(out.data(), type, static_cast<std::uint32_t>(buf_.size()));
-    std::memcpy(out.data() + kFrameHeaderBytes, buf_.data(), buf_.size());
+    // An empty body's data() may be null, and memcpy from null is UB even
+    // for zero bytes.
+    if (!buf_.empty()) {
+      std::memcpy(out.data() + kFrameHeaderBytes, buf_.data(), buf_.size());
+    }
     return out;
   }
 

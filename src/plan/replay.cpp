@@ -217,6 +217,8 @@ void PlanInstance::run_inline() {
   state_.t_done_ns = now_ns();
   api::record_completion(state_, plan_->bound_metrics());
   job.done.store(true, std::memory_order_release);
+  // Same order as Scheduler::finish_root: `done` first, then the hook.
+  job.on_complete.fire();
 }
 
 }  // namespace nabbitc::plan

@@ -415,6 +415,9 @@ bool Scheduler::finish_root(RootJob& job) {
   // its batch (see RootJob::batch), but `job` itself may be freed by a
   // per-job waiter the instant `done` is visible.
   BatchSync* const batch = job.batch;
+  // Same for the completion hook: it fires after `done`, when the job's
+  // storage may already belong to the next submission.
+  const CompletionHook hook = job.on_complete;
   // Decrement before signalling: wait_idle and the destructor wait on
   // active_jobs_ under mu_ and would otherwise miss the last notification.
   const bool last = active_jobs_.fetch_sub(1, std::memory_order_acq_rel) == 1;
@@ -476,6 +479,9 @@ bool Scheduler::finish_root(RootJob& job) {
       }
     }
   }
+  // Last: the hook's owner may tear down its context as soon as the hook
+  // returns (see CompletionHook), so nothing here may follow it.
+  hook.fire();
   return last;  // `job` may be freed by its waiter from here on
 }
 
@@ -782,13 +788,14 @@ void Scheduler::service_loop(Worker& w) {
     }
     backoff.pause();
   }
-  // Leaving the service loop: active_jobs_ hit zero, so the same recycling
-  // argument applies before parking.
-  const std::uint64_t g = quiescent_gen_.load(std::memory_order_acquire);
-  if (g != w.clean_gen_) {
-    w.arena_.reset();
-    w.clean_gen_ = g;
-  }
+  // Leaving the service loop: this worker observed active_jobs_ == 0, so
+  // every job it ran tasks for has finished and all its frames are dead,
+  // even if the last finisher has not bumped quiescent_gen_ yet. Rewind
+  // unconditionally: skipping it on losing that race would park this worker
+  // with a half-full block that the next submission's frames then join and
+  // pin, mapping an extra block.
+  w.arena_.reset();
+  w.clean_gen_ = quiescent_gen_.load(std::memory_order_acquire);
 }
 
 void Scheduler::flush_worker_obs(Worker& w) noexcept {

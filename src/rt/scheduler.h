@@ -279,6 +279,11 @@ class Scheduler {
     /// it on node dispatch and skip not-yet-started work once it is set —
     /// in-flight node computes always finish.
     std::atomic<std::uint8_t> cancel{0};
+    /// Fired by finish_root once `done` is published (see CompletionHook in
+    /// rt/status.h for the contract). Read once per completion; null = none.
+    /// Kept last so the words above, `cancel` in particular (polled on
+    /// every node dispatch), keep their cache-line placement.
+    CompletionHook on_complete;
 
     /// Requests cancellation; returns false when some reason already won
     /// (including this one). Safe from any thread, any time between

@@ -8,7 +8,9 @@
 // bench_serving prints terminal states, and the wire protocol (src/net/)
 // ships them to remote clients. Each of those used to be one string-literal
 // site away from disagreeing about how "deadline_exceeded" is spelled;
-// exec_status_name()/status_name() are now the single source.
+// exec_status_name()/status_name() are now the single source. The hook
+// that announces a terminal state (CompletionHook) lives here too, beside
+// the states it announces.
 #pragma once
 
 #include <cstdint>
@@ -63,5 +65,29 @@ struct Status {
 inline constexpr const char* status_name(const Status& s) noexcept {
   return exec_status_name(s.state);
 }
+
+/// Completion notification for one submission: a plain function pointer
+/// plus an opaque context, so arming it is two stores and no allocation.
+/// Contract (api::SubmitOptions::on_complete is the public spelling):
+///
+///   * it fires exactly once per submission, in every terminal state, and
+///     only AFTER the job's `done` flag is published — on the worker that
+///     finished the root (Scheduler::finish_root), or, for an inline plan
+///     replay, on the submitting thread before submit() returns;
+///   * it must not block, and it gets only `ctx`: the job and its handle
+///     may already be recycled by the time it runs;
+///   * `ctx` must stay alive until the call returns. Since the call comes
+///     after `done`, an owner that tears down on seeing `done` must also
+///     rendezvous with the hook itself — e.g. count armed hooks, make the
+///     decrement the hook's last access to `ctx`, and wait for zero before
+///     freeing it (net::Session does exactly this).
+struct CompletionHook {
+  void (*fn)(void* ctx) noexcept = nullptr;
+  void* ctx = nullptr;
+
+  void fire() const noexcept {
+    if (fn != nullptr) fn(ctx);
+  }
+};
 
 }  // namespace nabbitc::rt

@@ -12,54 +12,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "api/nabbitc.h"
-
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n ? n : 1);
-  if (p == nullptr) std::abort();
-  return p;
-}
-
-void* counted_alloc_aligned(std::size_t n, std::size_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n ? n : 1) != 0) {
-    std::abort();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc_aligned(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc_aligned(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "counting_alloc.h"
 
 namespace nabbitc::nabbit {
 namespace {
@@ -102,12 +57,11 @@ api::Runtime make_runtime() {
 std::uint64_t count_allocs_for_submission(api::Runtime& rt, std::uint32_t side) {
   std::atomic<std::uint64_t> acc{0};
   GridSpec spec(&acc, side);
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_release);
+  counting_alloc::begin();
   api::Execution e = rt.run(spec, key_pack(side - 1, side - 1));
-  g_counting.store(false, std::memory_order_release);
+  const std::uint64_t allocs = counting_alloc::end();
   EXPECT_EQ(e.nodes_computed(), std::uint64_t{side} * side);
-  return g_allocs.load(std::memory_order_relaxed);
+  return allocs;
 }
 
 TEST(AllocationFreeHotPath, DynamicExecutorSteadyStateDoesNotAllocPerNode) {
@@ -211,8 +165,7 @@ TEST(AllocationFreeHotPath, BatchSubmissionSteadyStateIsAllocationFree) {
   for (; attempts < kMaxAttempts; ++attempts) {
     const std::size_t arena_before = rt.arena_bytes();
     completed = 0;
-    g_allocs.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_release);
+    counting_alloc::begin();
     for (int i = 0; i < kRounds; ++i) {
       auto batch = rt.submit_batch(*plan, kBatch);
       batch.wait_all();
@@ -222,8 +175,7 @@ TEST(AllocationFreeHotPath, BatchSubmissionSteadyStateIsAllocationFree) {
         completed += batch.status(j).state == api::ExecStatus::kCompleted;
       }
     }
-    g_counting.store(false, std::memory_order_release);
-    allocs = g_allocs.load(std::memory_order_relaxed);
+    allocs = counting_alloc::end();
     EXPECT_EQ(completed, kRounds * kBatch);
     if (rt.arena_bytes() == arena_before) break;  // watermark reached
   }

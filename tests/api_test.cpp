@@ -875,5 +875,128 @@ TEST(BatchSubmission, ArrayOverloadYieldsIndividuallyOwnedExecutions) {
   EXPECT_EQ(acc.load(), nodes * (kN - 1));
 }
 
+// ------------------------------------------------------- completion hook
+//
+// SubmitOptions::on_complete fires exactly once per submission, in every
+// terminal state, on every submit path. Exactness is checked after the
+// Runtime is destroyed: its destructor joins the workers, so every hook
+// call has returned by then and a late or duplicate firing would show.
+
+namespace {
+
+struct HookCount {
+  std::atomic<int> fired{0};
+  static void hook(void* ctx) noexcept {
+    static_cast<HookCount*>(ctx)->fired.fetch_add(1, std::memory_order_relaxed);
+  }
+  CompletionHook arm() noexcept { return {&HookCount::hook, this}; }
+};
+
+}  // namespace
+
+TEST(CompletionHook, InlineReplayFiresBeforeSubmitReturns) {
+  auto rt = two_worker_runtime();
+  constexpr std::uint32_t kSide = 4;  // 16 nodes: lowered, runs inline
+  std::atomic<std::uint64_t> acc{0};
+  CountGridSpec spec(&acc, kSide);
+  auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1));
+  ASSERT_TRUE(plan->serial_lowered());
+
+  HookCount ok, expired;
+  SubmitOptions so;
+  so.on_complete = ok.arm();
+  Execution e = rt.submit(*plan, so);
+  EXPECT_TRUE(e.done());
+  EXPECT_EQ(ok.fired.load(), 1);
+  EXPECT_EQ(e.status().state, ExecStatus::kCompleted);
+
+  so.on_complete = expired.arm();
+  so.deadline_ns = 1;  // born expired
+  Execution d = rt.submit(*plan, so);
+  EXPECT_EQ(expired.fired.load(), 1);
+  EXPECT_EQ(d.status().state, ExecStatus::kDeadlineExceeded);
+  EXPECT_EQ(ok.fired.load(), 1);
+}
+
+TEST(CompletionHook, FiresOncePerSubmissionOnEveryPathAndTerminalState) {
+  // Per path, three submissions: one completes, one is cancelled while
+  // queued, one is born past its deadline. A blocker on the only worker
+  // keeps every submission queued until all cancels have landed.
+  enum Outcome { kOk, kCancel, kExpire, kOutcomes };
+  constexpr ExecStatus kWant[kOutcomes] = {ExecStatus::kCompleted,
+                                           ExecStatus::kCancelled,
+                                           ExecStatus::kDeadlineExceeded};
+  enum Path { kSpec, kPlan, kBatchHandle, kBatchArray, kPaths };
+  HookCount counts[kPaths][kOutcomes];
+  constexpr std::uint32_t kSide = 6;  // 36 nodes: a scheduler-path plan
+  std::atomic<std::uint64_t> acc{0};
+  CountGridSpec spec(&acc, kSide);
+  const Key sink = key_pack(kSide - 1, kSide - 1);
+  {
+    auto rt = one_worker_runtime();
+    auto plan = rt.compile(spec, sink, /*reserve_instances=*/12);
+    ASSERT_FALSE(plan->serial_lowered());
+    std::atomic<bool> started{false}, release{false};
+    BlockChainSpec blocker(&started, &release, 2);
+    Execution b = rt.submit(blocker, 1);
+    Backoff backoff;
+    while (!started.load(std::memory_order_acquire)) backoff.pause();
+
+    const auto opts = [&](Path p) {
+      std::vector<SubmitOptions> so(kOutcomes);
+      for (int o = 0; o < kOutcomes; ++o) {
+        so[o].on_complete = counts[p][o].arm();
+      }
+      so[kExpire].deadline_ns = 1;
+      return so;
+    };
+    const std::vector<SubmitOptions> spec_so = opts(kSpec);
+    const std::vector<SubmitOptions> plan_so = opts(kPlan);
+    const std::vector<SubmitOptions> handle_so = opts(kBatchHandle);
+    const std::vector<SubmitOptions> array_so = opts(kBatchArray);
+
+    // Separate specs per spec submission: a GraphSpec is not shared by
+    // concurrent dynamic executions in this test.
+    std::atomic<std::uint64_t> spec_acc[kOutcomes] = {};
+    std::vector<std::unique_ptr<CountGridSpec>> specs;
+    std::vector<Execution> spec_execs, plan_execs;
+    for (int o = 0; o < kOutcomes; ++o) {
+      specs.push_back(std::make_unique<CountGridSpec>(&spec_acc[o], kSide));
+      spec_execs.push_back(rt.submit(*specs.back(), sink, spec_so[o]));
+      plan_execs.push_back(rt.submit(*plan, plan_so[o]));
+    }
+    auto handle = rt.submit_batch(
+        *plan, std::span<const SubmitOptions>(handle_so));
+    std::vector<Execution> array_execs(kOutcomes);
+    rt.submit_batch(*plan, std::span<const SubmitOptions>(array_so),
+                    array_execs.data());
+    spec_execs[kCancel].cancel();
+    plan_execs[kCancel].cancel();
+    handle.cancel(kCancel);
+    array_execs[kCancel].cancel();
+    for (const auto& c : counts) {
+      for (const HookCount& h : c) EXPECT_EQ(h.fired.load(), 0);
+    }
+
+    release.store(true, std::memory_order_release);
+    b.wait();
+    handle.wait_all();
+    for (int o = 0; o < kOutcomes; ++o) {
+      spec_execs[o].wait();
+      plan_execs[o].wait();
+      array_execs[o].wait();
+      EXPECT_EQ(spec_execs[o].status().state, kWant[o]) << "spec " << o;
+      EXPECT_EQ(plan_execs[o].status().state, kWant[o]) << "plan " << o;
+      EXPECT_EQ(handle.status(o).state, kWant[o]) << "batch handle " << o;
+      EXPECT_EQ(array_execs[o].status().state, kWant[o]) << "batch array " << o;
+    }
+  }  // the Runtime joins its workers here
+  for (int p = 0; p < kPaths; ++p) {
+    for (int o = 0; o < kOutcomes; ++o) {
+      EXPECT_EQ(counts[p][o].fired.load(), 1) << "path " << p << " outcome " << o;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nabbitc::api

@@ -2,9 +2,13 @@
 // malformed and fuzzed input, and the nabbitc-serve daemon end to end —
 // client+server in-process over Unix-domain and loopback-TCP sockets, with
 // content-addressed plan sharing, BUSY backpressure, cancel-on-disconnect,
-// and graceful shutdown under load.
+// graceful shutdown under load, and push-driven RESULT delivery.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -540,7 +544,14 @@ ServerOptions test_opts(const std::string& sock_path,
   ServerOptions o;
   o.runtime.workers = workers;
   o.unix_path = sock_path;
-  o.idle_poll_ms = 5;  // tests shut down often; keep the loop snappy
+  return o;
+}
+
+ServerOptions tcp_test_opts() {
+  ServerOptions o;
+  o.runtime.workers = 2;
+  o.tcp = true;
+  o.tcp_port = 0;  // ephemeral
   return o;
 }
 
@@ -700,12 +711,7 @@ TEST(NetService, MetricsAndSlowCaptureOverUnix) {
 }
 
 TEST(NetService, RegisterSubmitResultOverTcp) {
-  ServerOptions o;
-  o.runtime.workers = 2;
-  o.tcp = true;
-  o.tcp_port = 0;  // ephemeral
-  o.idle_poll_ms = 5;
-  Server server(std::move(o));
+  Server server(tcp_test_opts());
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
   ASSERT_NE(server.tcp_port(), 0);
@@ -1229,6 +1235,206 @@ TEST(NetShutdown, CancelModeStopsPromptlyUnderLoad) {
   EXPECT_EQ(stats.in_flight, 0u);
   // Generous bound: far below the >2.4 s the full queue would need.
   EXPECT_LT(stop_ns, 2'000'000'000ull) << "stop() took " << stop_ns << " ns";
+}
+
+// ------------------------------------------------ push-driven completion
+//
+// The session loop sleeps in poll() with no timer. A RESULT whose execution
+// ends after the session went back to sleep reaches the client only if the
+// execution's completion hook wakes the session. Each test below submits
+// work that outlives the session's post-dispatch sweep and then sends
+// nothing more, so a broken hook fails wait_result's timeout instead of
+// passing slowly.
+
+constexpr int kPushTimeoutMs = 10'000;
+
+/// The server's end of a loopback TCP connection to `port` in this
+/// process: the one connected (non-listening) socket whose LOCAL port is
+/// `port`. -1 when there is none or more than one.
+int find_accepted_tcp_fd(std::uint16_t port) {
+  int found = -1;
+  int matches = 0;
+  for (int fd = 0; fd < 1024; ++fd) {
+    int listening = 0;
+    socklen_t len = sizeof(listening);
+    if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &len) != 0 ||
+        listening != 0) {
+      continue;
+    }
+    sockaddr_in local{};
+    len = sizeof(local);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET || ntohs(local.sin_port) != port) {
+      continue;
+    }
+    found = fd;
+    ++matches;
+  }
+  return matches == 1 ? found : -1;
+}
+
+int nodelay_of(int fd) {
+  int v = -1;
+  socklen_t len = sizeof(v);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &len) != 0) return -1;
+  return v;
+}
+
+TEST(NetPush, ServerSideTcpSocketsHaveNagleOff) {
+  // With Nagle on the accepted socket, RESULT written right after
+  // SUBMITTED waits for the client's delayed ACK (~40 ms a request).
+  Server server(tcp_test_opts());
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  Client c;
+  ASSERT_TRUE(c.connect_tcp(server.tcp_port())) << c.last_error();
+  ASSERT_TRUE(c.stats()) << c.last_error();  // the session is up
+
+  const int accepted = find_accepted_tcp_fd(server.tcp_port());
+  ASSERT_GE(accepted, 0) << "server-side socket not found";
+  EXPECT_EQ(nodelay_of(accepted), 1);
+  EXPECT_EQ(nodelay_of(c.fd()), 1);
+  server.stop();
+}
+
+TEST(NetPush, SubmitAndBatchResultsArriveWithoutFurtherClientTraffic) {
+  Server server(tcp_test_opts());
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  Client c;
+  ASSERT_TRUE(c.connect_tcp(server.tcp_port())) << c.last_error();
+  // 36 nodes at 2 ms each: a scheduler-path plan (above the tiny-lowering
+  // cutoff) that runs for tens of milliseconds.
+  const WireGraph g = make_wavefront_wire_graph(6, 0x77, 2'000'000);
+  const std::uint64_t expect_sink = expected_sink_value(g);
+  const auto reg = c.register_graph(g);
+  ASSERT_TRUE(reg) << c.last_error();
+  ASSERT_FALSE(server.debug_plan(reg->handle)->serial_lowered());
+
+  for (std::uint64_t payload = 1; payload <= 3; ++payload) {
+    const auto sub = c.submit(reg->handle, payload, api::Priority::kNormal);
+    ASSERT_TRUE(sub && sub->accepted) << c.last_error();
+    const auto res = c.wait_result(sub->exec_id, kPushTimeoutMs);
+    ASSERT_TRUE(res) << c.last_error();
+    EXPECT_EQ(res->state,
+              static_cast<std::uint8_t>(api::ExecStatus::kCompleted));
+    EXPECT_EQ(res->result, wire_result(expect_sink, payload));
+  }
+
+  std::vector<Client::BatchItem> items(3);
+  for (std::size_t i = 0; i < items.size(); ++i) items[i].payload = 0x50 + i;
+  const auto batch = c.submit_batch(reg->handle, items);
+  ASSERT_TRUE(batch) << c.last_error();
+  ASSERT_EQ(batch->exec_ids.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const auto r = c.wait_result(batch->exec_ids[i], kPushTimeoutMs);
+    ASSERT_TRUE(r) << c.last_error();
+    EXPECT_EQ(r->state,
+              static_cast<std::uint8_t>(api::ExecStatus::kCompleted));
+    EXPECT_EQ(r->result, wire_result(expect_sink, items[i].payload));
+  }
+  server.stop();
+}
+
+TEST(NetPush, CancelledAndExpiredResultsArriveWithoutFurtherClientTraffic) {
+  Server server(tcp_test_opts());
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  Client c;
+  ASSERT_TRUE(c.connect_tcp(server.tcp_port())) << c.last_error();
+  // ~300 ms serial chains: two of them occupy both workers.
+  const WireGraph g = make_chain(60, 0x44, 5'000'000);
+  const auto reg = c.register_graph(g);
+  ASSERT_TRUE(reg) << c.last_error();
+  const auto a = c.submit(reg->handle, 1, api::Priority::kNormal);
+  const auto b = c.submit(reg->handle, 2, api::Priority::kNormal);
+  ASSERT_TRUE(a && a->accepted && b && b->accepted) << c.last_error();
+  // Born expired and queued behind the chains: it expires when adopted.
+  const auto d = c.submit(reg->handle, 3, api::Priority::kNormal,
+                          /*deadline_rel_ns=*/1);
+  ASSERT_TRUE(d && d->accepted) << c.last_error();
+  ASSERT_TRUE(c.cancel(a->exec_id)) << c.last_error();
+  ASSERT_TRUE(c.cancel(b->exec_id)) << c.last_error();
+
+  for (const std::uint64_t id : {a->exec_id, b->exec_id}) {
+    const auto r = c.wait_result(id, kPushTimeoutMs);
+    ASSERT_TRUE(r) << c.last_error();
+    // Cooperative cancel: kCancelled unless the chain beat the CANCEL.
+    EXPECT_NE(r->state, static_cast<std::uint8_t>(api::ExecStatus::kRunning));
+    if (r->state == static_cast<std::uint8_t>(api::ExecStatus::kCancelled)) {
+      EXPECT_GT(r->skipped, 0u);
+    }
+  }
+  const auto r = c.wait_result(d->exec_id, kPushTimeoutMs);
+  ASSERT_TRUE(r) << c.last_error();
+  EXPECT_EQ(r->state,
+            static_cast<std::uint8_t>(api::ExecStatus::kDeadlineExceeded));
+  EXPECT_EQ(r->computed, 0u);
+  server.stop();
+}
+
+TEST(NetPush, SessionTeardownStress) {
+  // Many short sessions submit scheduler-path graphs and hang up at once,
+  // so session epilogues race completion hooks still running on workers.
+  // A session destroyed (wake pipe closed) before its last hook returned
+  // is a use-after-free that ASan and TSan report.
+  const std::string path = unique_sock_path("teardown");
+  Server server(test_opts(path));
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  const WireGraph g = make_wavefront_wire_graph(6, 0x55);
+  std::uint64_t handle = 0;
+  {
+    Client c;
+    ASSERT_TRUE(c.connect_unix(path));
+    const auto reg = c.register_graph(g);
+    ASSERT_TRUE(reg) << c.last_error();
+    handle = reg->handle;
+  }
+  ASSERT_FALSE(server.debug_plan(handle)->serial_lowered());
+
+  constexpr int kThreads = 4, kSessions = 32, kPerSession = 4;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int s = 0; s < kSessions; ++s) {
+        Client c;
+        if (!c.connect_unix(path)) {
+          failures.fetch_add(1);
+          continue;
+        }
+        if ((t + s) % 2 == 0) {
+          for (int i = 0; i < kPerSession; ++i) {
+            const auto sub = c.submit(handle, i, api::Priority::kNormal);
+            if (!sub || !sub->accepted) failures.fetch_add(1);
+          }
+        } else {
+          const std::vector<Client::BatchItem> items(kPerSession);
+          const auto batch = c.submit_batch(handle, items);
+          if (!batch || batch->exec_ids.size() != kPerSession) {
+            failures.fetch_add(1);
+          }
+        }
+        c.close();  // hang up with every RESULT unread
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  ASSERT_TRUE(wait_for_zero_inflight(server, 30'000));
+  const std::uint64_t deadline = now_ns() + 30'000'000'000ull;
+  while (server.stats().sessions_active != 0 && now_ns() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const StatsMsg stats = server.stats();
+  EXPECT_EQ(stats.sessions_active, 0u);
+  EXPECT_EQ(stats.submitted,
+            static_cast<std::uint64_t>(kThreads * kSessions * kPerSession));
+  EXPECT_EQ(stats.completed + stats.cancelled + stats.deadline_exceeded,
+            stats.submitted);
+  server.stop();
 }
 
 // ------------------------------------------------------- plan persistence

@@ -14,61 +14,17 @@
 
 #include <array>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <thread>
 #include <vector>
 
 #include "api/nabbitc.h"
+#include "counting_alloc.h"
 #include "support/rng.h"
 #include "support/spin.h"
 #include "support/timing.h"
 #include "workloads/workload.h"
 
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n ? n : 1);
-  if (p == nullptr) std::abort();
-  return p;
-}
-
-void* counted_alloc_aligned(std::size_t n, std::size_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n ? n : 1) != 0) {
-    std::abort();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc_aligned(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc_aligned(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace nabbitc::api {
 namespace {
@@ -567,12 +523,11 @@ TEST(PlanAlloc, SteadyStateReplayIsAllocationFree) {
     for (int i = 0; i < 12; ++i) rt.run(*plan);
     rt.wait_idle();
 
-    g_allocs.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_release);
+    counting_alloc::begin();
     for (int i = 0; i < 8; ++i) rt.run(*plan);
-    g_counting.store(false, std::memory_order_release);
+    const std::uint64_t allocs = counting_alloc::end();
 
-    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
+    EXPECT_EQ(allocs, 0u)
         << "steady-state plan replay heap-allocated (variant "
         << variant_name(v) << ")";
     EXPECT_EQ(acc.load(), spec.expected_total() * 20);
@@ -582,8 +537,9 @@ TEST(PlanAlloc, SteadyStateReplayIsAllocationFree) {
 TEST(PlanAlloc, SubmitOptionsKeepSteadyStateAllocationFree) {
   // Submission control must not tax the serving hot path: priority lanes
   // are fixed arrays, the deadline is a plain store, the name is not
-  // copied — so a replay submitted with ANY SubmitOptions value (and a
-  // cancelled one) still performs zero heap allocations at steady state.
+  // copied, the completion hook is a function pointer plus a context — so
+  // a replay submitted with ANY SubmitOptions value (and a cancelled one)
+  // still performs zero heap allocations at steady state.
   auto rt = make_runtime(Variant::kNabbitC);
   constexpr std::uint32_t kSide = 16;
   std::atomic<std::uint64_t> acc{0};
@@ -594,11 +550,15 @@ TEST(PlanAlloc, SubmitOptionsKeepSteadyStateAllocationFree) {
   hot.priority = Priority::kHigh;
   hot.deadline_ns = deadline_in(std::chrono::hours(1));
   hot.name = "hot-path";
+  std::atomic<int> hooks{0};
+  hot.on_complete = {[](void* ctx) noexcept {
+                       static_cast<std::atomic<int>*>(ctx)->fetch_add(1);
+                     },
+                     &hooks};
   for (int i = 0; i < 12; ++i) rt.run(*plan, hot);  // warm up
   rt.wait_idle();
 
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_release);
+  counting_alloc::begin();
   for (int i = 0; i < 8; ++i) rt.run(*plan, hot);
   {
     // A cancelled round trip is also allocation-free end to end.
@@ -606,10 +566,16 @@ TEST(PlanAlloc, SubmitOptionsKeepSteadyStateAllocationFree) {
     e.cancel();
     e.wait();
   }
-  g_counting.store(false, std::memory_order_release);
+  const std::uint64_t allocs = counting_alloc::end();
 
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
+  EXPECT_EQ(allocs, 0u)
       << "SubmitOptions submission heap-allocated at steady state";
+  rt.wait_idle();
+  // Every run() and the cancelled submit announced itself exactly once
+  // (the hook can trail wait(); wait for the last one).
+  const std::uint64_t deadline = now_ns() + 10'000'000'000ull;
+  while (hooks.load() != 21 && now_ns() < deadline) std::this_thread::yield();
+  EXPECT_EQ(hooks.load(), 21);
 }
 
 // ------------------------------------------------------- bounded arenas
