@@ -9,6 +9,10 @@
 //   * fresh_submit_ns / replay_submit_ns — one whole graph round trip
 //     (submit+wait) through each path, serialized, best repeat;
 //   * replay_speedup_x — fresh / replay;
+//   * replay_exec_node_ns, inline_node_ns, replay_dispatch_x — the
+//     wavefront replay's per-node execution time, the per-node time of a
+//     tiny plan replayed inline (no scheduler), and their ratio: what the
+//     scheduled replay pays per node for dispatch beyond the node itself;
 //   * sustained_submissions_per_sec, replay_node_ns — N threads replaying
 //     one plan each for a timed window, all sharing the worker pool (the
 //     epoch-segmented arenas keep memory flat: arena_bytes is reported);
@@ -19,6 +23,7 @@
 //   bench_throughput [preset=tiny|default] [workers=N] [streams=N]
 //                    [side=N] [secs=S] [variant=nabbit|nabbitc]
 //                    [out=BENCH_throughput.json]
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +33,7 @@
 #include <vector>
 
 #include "api/nabbitc.h"
+#include "support/align.h"
 #include "support/config.h"
 #include "support/timing.h"
 
@@ -147,6 +153,11 @@ void check(bool ok, const char* what) {
   }
 }
 
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 /// Best-of-repeats wall time for `rounds` calls of fn().
 template <typename Fn>
 double best_seconds(int repeats, int rounds, Fn&& fn) {
@@ -214,6 +225,66 @@ int main(int argc, char** argv) {
   report("replay_node_ns", replay_s * 1e9 / static_cast<double>(rounds * nodes),
          "ns/node");
   report("replay_speedup_x", fresh_s / replay_s, "x");
+
+  // --- replay dispatch cost: what the scheduled replay pays per node beyond
+  // the node itself. Every worker but one is held busy (the saturated-
+  // serving case: no idle peer, so nothing is promoted or stolen), and the
+  // wavefront replay's per-node execution time (adoption to completion; the
+  // futex wake of a serialized round trip is left out) is set over the
+  // per-node time of the same node body replayed inline by a tiny
+  // serial-lowered plan — no scheduler, no spawn, no wake. Both are medians
+  // of many samples. ci.sh gates the ratio, replay_dispatch_x.
+  {
+    const std::uint32_t tiny_side = 4;  // 16 nodes: under kTinyGraphMaxNodes
+    Padded<std::atomic<std::uint64_t>> tacc;
+    StreamSpec tspec(&*tacc, tiny_side, rt.workers());
+    auto tplan = rt.compile(tspec, nabbit::key_pack(tiny_side - 1, tiny_side - 1));
+    check(tplan->serial_lowered(), "tiny plan was not serial-lowered");
+    // Own cache lines: the holders poll `release` on every spin, and a node
+    // counter sharing its line would bounce on every node.
+    Padded<std::atomic<bool>> release;
+    Padded<std::atomic<std::size_t>> holding;
+    std::vector<rt::Scheduler::RootJob> holders(rt.workers() - 1);
+    for (auto& h : holders) {
+      h.fn = [&](rt::Worker&) {
+        holding->fetch_add(1);
+        while (!release->load(std::memory_order_acquire)) {
+          std::this_thread::yield();  // cedes the CPU on a one-CPU host
+        }
+      };
+      rt.scheduler().submit(h);
+    }
+    while (holding->load() != holders.size()) std::this_thread::yield();
+    // Both samples are taken on the one free worker, alternately, so they
+    // share its CPU: an inline batch inside a root job, then a replay.
+    constexpr int kInlineBatch = 64;
+    const int samples = tiny ? 300 : 1000;
+    std::vector<double> exec_ns, inline_ns;
+    acc.store(0);
+    for (int i = 0; i < samples; ++i) {
+      rt.run_parallel([&](rt::Worker&) {
+        Timer t;
+        for (int j = 0; j < kInlineBatch; ++j) rt.run(*tplan);
+        inline_ns.push_back(t.seconds() * 1e9 / kInlineBatch);
+      });
+      api::Execution e = rt.run(*plan);
+      check(e.first_dispatch_time_ns() != 0,
+            "no adoption stamp (metrics disabled?)");
+      exec_ns.push_back(
+          static_cast<double>(e.complete_time_ns() - e.first_dispatch_time_ns()));
+    }
+    release->store(true, std::memory_order_release);
+    for (auto& h : holders) rt.scheduler().wait(h);
+    check(acc.load() == per_run * static_cast<std::uint64_t>(samples),
+          "replays diverged");
+    check(tacc->load() % tspec.per_run_total() == 0, "inline replays diverged");
+    const double exec_node_ns = median(exec_ns) / static_cast<double>(nodes);
+    const double inline_node_ns =
+        median(inline_ns) / static_cast<double>(tiny_side * tiny_side);
+    report("replay_exec_node_ns", exec_node_ns, "ns/node");
+    report("inline_node_ns", inline_node_ns, "ns/node");
+    report("replay_dispatch_x", exec_node_ns / inline_node_ns, "x");
+  }
 
   // --- serialized batched replay: the same plan, `batch` graphs per
   // submit_batch+wait_all call. On compute-heavy graphs the win is modest

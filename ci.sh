@@ -112,7 +112,7 @@ echo "=== bench-smoke: throughput JSON ==="
 if [ -d "${BENCH_DIR}" ]; then
   "${BENCH_DIR}/bench_throughput" preset=tiny out="${BENCH_DIR}/BENCH_throughput.json"
   python3 - "${BENCH_DIR}/BENCH_throughput.json" <<'EOF'
-import json, sys
+import json, os, sys
 with open(sys.argv[1]) as f:
     d = json.load(f)
 expected = [
@@ -120,7 +120,8 @@ expected = [
     "plan_batch_submit_ns", "replay_node_ns", "replay_speedup_x",
     "sustained_submissions_per_sec", "sustained_node_ns", "plan_instances",
     "arena_bytes_after", "plan_nodes", "plan_fused_nodes",
-    "pipeline_replay_submit_ns",
+    "pipeline_replay_submit_ns", "replay_exec_node_ns", "inline_node_ns",
+    "replay_dispatch_x",
 ]
 missing = [k for k in expected if k not in d["metrics"]]
 assert not missing, f"missing metrics: {missing}"
@@ -138,8 +139,18 @@ assert ratio < 0.60, f"plan replay too close to fresh submit: {ratio:.2f}"
 nodes = m["plan_nodes"]["value"]
 fused = m["plan_fused_nodes"]["value"]
 assert fused < nodes, f"chain fusion inert on pipeline workload: {fused} units for {nodes} nodes"
+# Replay dispatch acceptance: with the other workers busy, the scheduled
+# wavefront replay's per-node time over the inline replay's per-node floor.
+# Lazy promotion runs units from a private stack (no spawn/sync per unit):
+# 1.86-2.42x on a 4-vCPU Xeon host, where the per-unit spawn tree it
+# replaced read 2.85-4.14x; pinned to one CPU (no cross-core traffic)
+# 0.98-1.02x against 1.83-2.32x, hence the tighter one-CPU bound.
+dispatch = m["replay_dispatch_x"]["value"]
+bound = 2.6 if len(os.sched_getaffinity(0)) > 1 else 1.4
+assert dispatch < bound, (
+    f"replay dispatch {dispatch:.2f}x the inline per-node floor (gate: < {bound}x)")
 print(f"bench-throughput OK: {len(d['metrics'])} metrics, replay/fresh = {ratio:.2f}, "
-      f"fused {nodes:.0f} nodes -> {fused:.0f} units")
+      f"fused {nodes:.0f} nodes -> {fused:.0f} units, dispatch = {dispatch:.2f}x")
 EOF
 else
   echo "bench-throughput smoke skipped (no Release build dir)"
@@ -427,7 +438,9 @@ echo "=== ThreadSanitizer leg (race-prone subset) ==="
 # graph service's cross-thread paths (sessions vs. runtime callbacks:
 # shared-plan registration, disconnect-cancel, shutdown drain, completion
 # hooks waking sessions and the hook/teardown rendezvous), and the plan
-# cache's concurrent store/load/forget (persist).
+# cache's concurrent store/load/forget (persist), lazy plan-replay
+# promotion (idle peers stealing private work, cancel/deadline through
+# promoted frames) and the submit-side attribution probe's give-up.
 # Benign-by-design races (the colored-steal peek) are suppressed in
 # tsan.supp, which documents each entry.
 TSAN_DIR="build-ci-tsan"
@@ -444,7 +457,7 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" \
 # suppressions (see tsan.supp) and would fail the leg spuriously.
 TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 history_size=7" \
   ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 600 \
-  -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|NetPush|CompletionHook|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix'
+  -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|NetPush|CompletionHook|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix|PlanPromotion|PromotingReplay|IdleSnapshot|SerializedSubmitRacingAStream'
 echo "tsan leg OK"
 
 # AddressSanitizer and UndefinedBehaviorSanitizer: Debug builds of the

@@ -312,14 +312,15 @@ void arm_attribution_window(detail::ExecutionState& st, rt::Scheduler& sched,
   st.expected_submissions = sched.submissions() + 1;
   st.reset_gen = &reset_gen;
   st.expected_reset_gen = reset_gen.load(std::memory_order_acquire);
-  st.attributable = rt::Scheduler::current() == nullptr && !sched.job_active();
-  if (st.attributable) {
-    // One atomic wait-for-quiescence + snapshot: a concurrent submitter
-    // between a separate wait_idle and the read would wake workers into
-    // the merge (the delta would be voided as polluted later, but the
-    // racy read itself must not happen).
-    st.before = sched.aggregate_counters_idle();
-  }
+  // One atomic wait-for-quiescence + snapshot: a concurrent submitter
+  // between a separate wait_idle and the read would wake workers into the
+  // merge (the delta would be voided as polluted later, but the racy read
+  // itself must not happen). The wait gives up as soon as another caller
+  // submits: that submission already voids this window, and waiting out
+  // its work would park this caller behind someone else's request.
+  st.attributable = rt::Scheduler::current() == nullptr && !sched.job_active() &&
+                    sched.aggregate_counters_idle(st.expected_submissions - 1,
+                                                  st.before);
   st.t_submit_ns = now_ns();
 }
 

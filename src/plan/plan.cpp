@@ -569,9 +569,8 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   f.instance_slab_bytes = proto->slab_.bytes_allocated();
   f.fused_n = fused_n;
   f.passes = passes;
-  // Pass 3 — tiny-graph lowering: plans this small replay through the
-  // serial micro-interpreter on the submitting thread (see
-  // PlanInstance::run_serial), skipping TaskGroup/spawn entirely.
+  // Pass 3 — tiny-graph lowering: plans this small replay inline on the
+  // submitting thread (see PlanInstance::run_inline), never promoting work.
   f.serial_lower = (passes & kPassTinyLower) != 0 && n < kTinyGraphMaxNodes;
   f.unit_off = s.unit_off;
   f.unit_nodes = s.unit_nodes;
@@ -751,8 +750,9 @@ bool validate_frozen(const FrozenPlan& f) {
     for (std::uint64_t u = 0; u < fn; ++u) {
       if (cursor[u] != f.unit_succ_off[u + 1]) return false;
     }
-    // Serial lowering is only legal for tiny plans (the micro-interpreter
-    // uses a fixed-size ready stack); refuse an artifact claiming otherwise.
+    // Serial lowering is only legal for tiny plans (an inline replay's
+    // fixed-size ready stack cannot spill); refuse an artifact claiming
+    // otherwise.
     if (f.serial_lower && n >= kTinyGraphMaxNodes) return false;
   }
 

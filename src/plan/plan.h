@@ -26,7 +26,9 @@
 // drives the dependence protocol over the CSR arrays: no node map, no
 // successor-list CAS traffic, and (once the pool is warm) no heap
 // allocation at all on the submit path. Results are bitwise-identical to a
-// fresh GraphSpec submission; the test suite checksums both.
+// fresh GraphSpec submission; the test suite checksums both. Ready units
+// run from a worker-private stack and become stealable only when a worker
+// is idle (lazy promotion, see replay.cpp).
 //
 // Contracts:
 //   * the GraphSpec must describe the same graph on every call (same
@@ -79,15 +81,15 @@ inline constexpr std::uint32_t kPassChainFusion = 1u << 0;
 /// cache lines at notify time. The sink stays index 0 regardless.
 inline constexpr std::uint32_t kPassLevelOrder = 1u << 1;
 /// Tiny-graph lowering: plans with fewer than kTinyGraphMaxNodes nodes
-/// replay through a serial micro-interpreter on the submitting thread,
-/// skipping TaskGroup/spawn machinery entirely.
+/// replay inline on the submitting thread, through the same unit loop as
+/// every replay but with no promotion and no scheduler round trip.
 inline constexpr std::uint32_t kPassTinyLower = 1u << 2;
 inline constexpr std::uint32_t kPassAll =
     kPassChainFusion | kPassLevelOrder | kPassTinyLower;
 
 /// Node-count bound under which kPassTinyLower marks a plan for serial
 /// replay. Also the hard cap validate_frozen enforces on serial-lowered
-/// artifacts (the micro-interpreter's ready stack is sized by it).
+/// artifacts (an inline replay has no worker to spill its ready stack to).
 inline constexpr std::uint32_t kTinyGraphMaxNodes = 32;
 
 struct CompileOptions {
@@ -228,16 +230,17 @@ class PlanInstance final : public nabbit::NodeLookup {
 
   // --- replay protocol (replay.cpp) ---------------------------------------
   void run_root(rt::Worker& w);
-  void compute_and_notify(rt::Worker& w, std::uint32_t unit);
-  void spawn_indices(rt::Worker& w, rt::TaskGroup& g, std::uint32_t* indices,
-                     std::size_t n);
+  /// The replay loop: runs seeds[0, n) and every unit they make ready from
+  /// a private stack, then waits for what it promoted. `w` is null only for
+  /// an inline serial-lowered replay (no promotion, no locality counting).
+  void run_units(rt::Worker* w, const std::uint32_t* seeds, std::size_t n);
+  /// Moves half of stack[0, top) — other colors first under NabbitC — into
+  /// one frame spawned on `g`, compacting the rest in place.
+  void promote(rt::Worker& w, rt::TaskGroup& g, std::uint32_t* stack,
+               std::uint32_t& top);
   /// Runs one fused unit's nodes serially (per-node cancel poll, locality
-  /// when `w` is non-null). Shared by the parallel and serial paths.
-  void execute_unit(rt::Worker* w, std::uint32_t unit);
-  /// The tiny-graph micro-interpreter: drives the whole replay on the
-  /// calling thread over the unit join counters. `w` may be null (inline
-  /// submission) — locality counting is skipped then.
-  void run_serial(rt::Worker* w);
+  /// when `w` is non-null); returns how many computed (the rest skipped).
+  std::uint32_t execute_unit(rt::Worker* w, std::uint32_t unit);
 
   const GraphPlan* plan_;
   nabbit::NodeSlab slab_;                    // node payload storage
@@ -248,9 +251,6 @@ class PlanInstance final : public nabbit::NodeLookup {
   bool fresh_ = true;
   api::detail::ExecutionState state_;
   PlanInstance* pool_next_ = nullptr;  // freelist link, under the plan's lock
-
-  // replay.cpp spawn leaf.
-  friend struct PlanComputeLeaf;
 };
 
 /// The immutable compiled form of (GraphSpec, sink): frozen topology,
@@ -273,8 +273,8 @@ class GraphPlan {
   std::uint32_t num_fused_nodes() const noexcept { return f_.fused_n; }
   /// kPass* mask the compiler actually applied to this plan.
   std::uint32_t passes() const noexcept { return f_.passes; }
-  /// True when replays run through the tiny-graph serial micro-interpreter
-  /// (singleton submissions then complete inline on the submitting thread).
+  /// True when replays never promote work (tiny-graph lowering): singleton
+  /// submissions then complete inline on the submitting thread.
   bool serial_lowered() const noexcept { return f_.serial_lower; }
   Key sink() const noexcept { return sink_; }
   bool colored() const noexcept { return opts_.colored; }

@@ -77,4 +77,16 @@ class ColorMask {
   std::array<std::uint64_t, kWords> words_;
 };
 
+/// The colors below kMaxColors that `topo` places in worker `w`'s NUMA
+/// domain: the precomputed, bit-test form of topo.is_local(c, w).
+inline ColorMask local_color_mask(const numa::Topology& topo, std::uint32_t w) {
+  ColorMask m;
+  for (std::uint32_t c = 0; c < ColorMask::kMaxColors; ++c) {
+    if (topo.is_local(static_cast<numa::Color>(c), w)) {
+      m.set(static_cast<numa::Color>(c));
+    }
+  }
+  return m;
+}
+
 }  // namespace nabbitc::rt

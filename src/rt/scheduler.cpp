@@ -144,11 +144,13 @@ Scheduler::Scheduler(SchedulerConfig cfg) : cfg_(cfg) {
     w->color_ = static_cast<numa::Color>(i);
     w->domain_ = cfg_.topology.domain_of_worker(i);
     w->my_mask_ = ColorMask::single(w->color_);
+    w->local_colors_ = local_color_mask(cfg_.topology, i);
     w->sched_ = this;
     w->rng_ = Pcg32(splitmix64(cfg_.seed + i), /*stream=*/i + 1);
     w->arena_.bind_reclaim(&frames_completed_upto_);
     workers_.push_back(std::move(w));
   }
+  idle_workers_->store(n, std::memory_order_relaxed);  // every worker starts idle
   if (cfg_.trace.enabled) {
     trace_rings_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -719,6 +721,7 @@ bool Scheduler::try_progress(Worker& w) {
   if (inject_count_.load(std::memory_order_acquire) > 0) {
     if (RootJob* job = pop_root()) {
       rearm_epoch(w);
+      w.mark_busy();
       // Adoption is a cold boundary (one root per whole graph execution):
       // stamp it and record queue->adoption dispatch latency. The stamp
       // also feeds the api layer's queue-wait metric and the slow-request
@@ -781,6 +784,7 @@ void Scheduler::service_loop(Worker& w) {
     // all frames in our arena predate that quiescent moment and no live
     // reference to them can exist; rewind (blocks stay mapped, so stale
     // thief peeks remain benign — see rt/arena.h).
+    w.mark_idle();
     const std::uint64_t g = quiescent_gen_.load(std::memory_order_acquire);
     if (g != w.clean_gen_) {
       w.arena_.reset();
@@ -788,6 +792,7 @@ void Scheduler::service_loop(Worker& w) {
     }
     backoff.pause();
   }
+  w.mark_idle();  // parked workers count as idle: a submission wakes them
   // Leaving the service loop: this worker observed active_jobs_ == 0, so
   // every job it ran tasks for has finished and all its frames are dead,
   // even if the last finisher has not bumped quiescent_gen_ yet. Rewind
@@ -835,19 +840,45 @@ WorkerCounters Scheduler::aggregate_counters() const {
 }
 
 WorkerCounters Scheduler::aggregate_counters_idle() {
+  WorkerCounters total;
+  merge_counters_idle(nullptr, total);
+  return total;
+}
+
+bool Scheduler::aggregate_counters_idle(std::uint32_t seen, WorkerCounters& out) {
+  return merge_counters_idle(&seen, out);
+}
+
+bool Scheduler::merge_counters_idle(const std::uint32_t* seen,
+                                    WorkerCounters& out) {
   NABBITC_CHECK_MSG(current() == nullptr,
                     "Scheduler::aggregate_counters_idle must not be called "
                     "from a worker thread");
   std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [&] {
+  bool alone = true;
+  const auto ready = [&] {
+    if (seen != nullptr && submissions() != *seen) {
+      alone = false;
+      return true;
+    }
     return active_jobs_.load(std::memory_order_acquire) == 0 &&
            parked_workers_.load(std::memory_order_acquire) == num_workers();
-  });
+  };
+  if (seen == nullptr) {
+    cv_done_.wait(lk, ready);
+  } else {
+    // Submitters never signal cv_done_ (the lock-free submit path stays
+    // that way), so a foreign submission is noticed by a short poll rather
+    // than at the next completion, which may be arbitrarily far off.
+    while (!cv_done_.wait_for(lk, std::chrono::microseconds(50), ready)) {
+    }
+  }
+  if (!alone) return false;
   // All workers are inside cv_start_.wait(mu_) and we hold mu_: none can
   // resume (let alone touch its counters) before this merge finishes.
-  WorkerCounters total;
-  for (const auto& w : workers_) total.merge(w->counters());
-  return total;
+  out.reset();
+  for (const auto& w : workers_) out.merge(w->counters());
+  return true;
 }
 
 void Scheduler::reset_counters() {

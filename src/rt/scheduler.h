@@ -107,7 +107,7 @@ class Worker {
   /// each counted remote iff outside this worker's NUMA domain.
   void record_node_execution(numa::Color node_color, std::uint64_t preds_total,
                              std::uint64_t preds_remote) noexcept {
-    const bool remote = !topology().is_local(node_color, id_);
+    const bool remote = !color_is_local(node_color);
     auto& loc = counters_.locality;
     loc.nodes += 1;
     loc.remote_nodes += remote ? 1 : 0;
@@ -148,10 +148,27 @@ class Worker {
     trace_emit(trace::EventKind::kSpawn, now_ns(), colors.count(), 0, 0, color_);
   }
 
-  /// True iff `c` is local to this worker's NUMA domain.
+  /// True iff `c` is local to this worker's NUMA domain. One bit test on
+  /// the mask precomputed at construction; colors past its capacity (and,
+  /// through the unsigned cast, kInvalidColor) take the Topology path.
   bool color_is_local(numa::Color c) const noexcept {
-    return topology().is_local(c, id_);
+    return static_cast<std::uint32_t>(c) < ColorMask::kMaxColors
+               ? local_colors_.test(c)
+               : topology().is_local(c, id_);
   }
+
+  // --- idle signal (Scheduler::idle_workers_) ------------------------------
+  // Owner-thread only. Each call writes the shared count only when it flips
+  // this worker's state, so a worker spinning on misses (or running task
+  // after task) touches the shared line once, not once per attempt.
+
+  /// Called on a miss: service_loop, or helping inside TaskGroup::wait.
+  void mark_idle() noexcept;
+  /// Called before running a task or an adopted root.
+  void mark_busy() noexcept;
+  /// True iff some worker is idle. The caller is running work (hence busy),
+  /// so the idle one is a peer that would steal what is made stealable.
+  bool peers_idle() const noexcept;
 
   /// One attempt to obtain a task: own deque first, then one steal round.
   /// Returns nullptr when no work was found this round.
@@ -163,6 +180,7 @@ class Worker {
   /// run foreign-job tasks mid-frame, and the frames it allocates once it
   /// resumes its own task must keep their own job's stamp.
   void run_task(Task* task) {
+    mark_busy();
     ++counters_.tasks_executed;
     const std::uint64_t saved_epoch = arena_.epoch();
     arena_.set_epoch(task->epoch);
@@ -184,7 +202,12 @@ class Worker {
   numa::Color color_ = 0;
   std::uint32_t domain_ = 0;
   ColorMask my_mask_;
+  /// Colors c with topology().is_local(c, id_), for c < kMaxColors.
+  ColorMask local_colors_;
   Scheduler* sched_ = nullptr;
+  /// This worker's contribution to Scheduler::idle_workers_ (workers start
+  /// parked, hence idle).
+  bool idle_ = true;
 
   WorkDeque deque_;
   JobArena arena_;
@@ -398,6 +421,12 @@ class Scheduler {
   /// mid-snapshot (the snapshot simply waits out the new job). Must not be
   /// called from a worker thread.
   WorkerCounters aggregate_counters_idle();
+  /// aggregate_counters_idle() for a caller that has observed
+  /// submissions() == `seen` and is about to submit: gives up, returning
+  /// false with `out` untouched, once another submission lands instead of
+  /// waiting out that caller's work — a foreign submission voids the
+  /// attribution window the snapshot was for anyway.
+  bool aggregate_counters_idle(std::uint32_t seen, WorkerCounters& out);
   void reset_counters();
 
   /// True iff this scheduler records trace events.
@@ -473,6 +502,9 @@ class Scheduler {
   /// registry's atomics make the published totals safe to scrape live
   /// (unlike the plain fields, which need aggregate_counters_idle).
   void flush_worker_obs(Worker& w) noexcept;
+  /// Shared body of both aggregate_counters_idle overloads; `seen` null
+  /// means never give up. Overwrites `out` only on success.
+  bool merge_counters_idle(const std::uint32_t* seen, WorkerCounters& out);
 
   /// Registry metric handles, resolved once at construction (the registry
   /// lookup takes a mutex; these records must not).
@@ -522,6 +554,12 @@ class Scheduler {
   /// external waiters pick their timed-sleep horizon. Under mu_.
   std::uint64_t next_deadline_ns_ = 0;
 
+  /// Workers not running work (parked, or missing in service_loop or a
+  /// helping TaskGroup::wait); see Worker::mark_idle. Plan replay reads it
+  /// to decide when to make private work stealable. Own cache line: it is
+  /// written on idle<->busy transitions only and read after every unit.
+  Padded<std::atomic<std::uint32_t>> idle_workers_;
+
   /// Jobs submitted but not finished. Workers serve while this is nonzero.
   std::atomic<std::uint32_t> active_jobs_{0};
   /// Queued-but-unadopted roots; lets the service loop skip the queue lock.
@@ -540,6 +578,26 @@ class Scheduler {
   RootJob* active_tail_ = nullptr;      // newest active job, under mu_
   std::atomic<std::uint64_t> frames_completed_upto_{0};
 };
+
+// ---------------------------------------------------------------------------
+// Worker idle signal (needs Scheduler). Relaxed: the count is a hint for
+// when to promote work, never a synchronization edge.
+
+inline void Worker::mark_idle() noexcept {
+  if (idle_) return;
+  idle_ = true;
+  sched_->idle_workers_->fetch_add(1, std::memory_order_relaxed);
+}
+
+inline void Worker::mark_busy() noexcept {
+  if (!idle_) return;
+  idle_ = false;
+  sched_->idle_workers_->fetch_sub(1, std::memory_order_relaxed);
+}
+
+inline bool Worker::peers_idle() const noexcept {
+  return sched_->idle_workers_->load(std::memory_order_relaxed) != 0;
+}
 
 // ---------------------------------------------------------------------------
 // TaskGroup inline implementation (needs Worker).
@@ -561,15 +619,19 @@ inline void TaskGroup::wait(Worker& worker) {
   // done. Misses back off exactly like the idle loop in service_loop — a
   // bare yield() here made helping workers spin hotter than idle ones and
   // syscall on every miss.
+  // A miss marks the worker idle, so plan replays running elsewhere hand it
+  // work; leaving marks it busy again (it resumes the task that waited).
   Backoff backoff;
   while (!done()) {
     if (Task* t = worker.find_task()) {
       worker.run_task(t);
       backoff.reset();
     } else {
+      worker.mark_idle();
       backoff.pause();
     }
   }
+  worker.mark_busy();
 }
 
 }  // namespace nabbitc::rt

@@ -4,6 +4,7 @@
 // worker pool with bitwise-correct results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -221,6 +222,38 @@ TEST(Runtime, SerializedSubmissionCountersAreAttributable) {
   // delta window.
   EXPECT_EQ(c.locality.nodes, 256u);
   EXPECT_GT(c.spawns, 0u);
+}
+
+TEST(Runtime, SerializedSubmitRacingAStreamReturnsWithinABound) {
+  // submit() probes for an attributable counter window by waiting for the
+  // pool to go idle. Another thread's submission stream voids that window,
+  // so the probe must give up then, not park the caller until the stream
+  // happens to leave the pool idle.
+  RuntimeOptions opts;
+  opts.workers = 2;
+  Runtime rt(opts);
+  std::atomic<bool> stop{false};
+  std::thread stream([&] {
+    while (!stop.load()) {
+      rt.run_parallel([](rt::Worker&) {
+        const std::uint64_t until = now_ns() + 2'000'000;
+        while (now_ns() < until) std::this_thread::yield();
+      });
+    }
+  });
+  WaveGrid g(8, 3);
+  WaveSpec spec(&g);
+  std::uint64_t worst_ns = 0;
+  for (int i = 0; i < 50; ++i) {
+    const std::uint64_t t0 = now_ns();
+    Execution e = rt.submit(spec, key_pack(7, 7));
+    worst_ns = std::max(worst_ns, now_ns() - t0);
+    e.wait();
+    EXPECT_EQ(e.nodes_computed(), 64u);
+  }
+  stop.store(true);
+  stream.join();
+  EXPECT_LT(worst_ns, 500'000'000ull) << "submit() waited out another caller";
 }
 
 TEST(Runtime, NestedSubmissionFromWorkerHelpsInsteadOfDeadlocking) {

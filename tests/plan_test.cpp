@@ -505,6 +505,164 @@ INSTANTIATE_TEST_SUITE_P(BothVariants, PlanConcurrent,
                            return std::string(variant_name(info.param));
                          });
 
+// ------------------------------------------------------- lazy promotion
+//
+// A replay runs ready units from a worker-private stack; they become
+// stealable only when promoted (a peer is idle, or the stack is full).
+// ForkSpec is built so a replay can only finish if promotion happens: its
+// two root units A and B each wait, yielding, until the other has started.
+// One worker running both in turn would wait forever, so the wait gives up
+// after a timeout and the test fails instead of hanging. Each root then
+// fans out to `fanout` children joined by the sink; a fanout above the
+// private stack's capacity also forces spills into promoted frames.
+
+constexpr Key kForkSink = 0;
+constexpr Key kForkA = 1;
+constexpr Key kForkB = 2;
+
+struct ForkCtx {
+  std::uint32_t fanout = 0;
+  /// When set, B cancels this execution after the rendezvous and A waits
+  /// for that before returning, so every child is dispatched cancelled.
+  std::atomic<Execution*> cancel_target{nullptr};
+  bool cancel_after_rendezvous = false;
+  std::atomic<int> arrived{0};
+  std::atomic<bool> cancelled{false};
+  std::atomic<bool> timed_out{false};
+  std::atomic<std::uint64_t> children{0};
+
+  /// Yields until `done()` or a 10 s timeout (recorded, never a hang).
+  template <typename Done>
+  void await(Done done) {
+    const std::uint64_t give_up = now_ns() + 10'000'000'000ull;
+    while (!done()) {
+      if (now_ns() > give_up) {
+        timed_out.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  }
+
+  void root(Key k) {
+    const int target = arrived.fetch_add(1) / 2 * 2 + 2;  // per-replay pair
+    await([&] { return arrived.load() >= target; });
+    if (!cancel_after_rendezvous) return;
+    if (k == kForkB) {
+      await([&] { return cancel_target.load() != nullptr; });
+      if (Execution* e = cancel_target.load()) e->cancel();
+      cancelled.store(true);
+    } else {
+      await([&] { return cancelled.load(); });
+    }
+  }
+};
+
+struct ForkNode final : TaskGraphNode {
+  ForkCtx* ctx;
+  explicit ForkNode(ForkCtx* c) : ctx(c) {}
+  void init(ExecContext&) override {
+    const Key k = key();
+    if (k == kForkSink) {
+      for (const Key r : {kForkA, kForkB}) {
+        if (ctx->fanout == 0) add_predecessor(r);
+        for (std::uint32_t i = 0; i < ctx->fanout; ++i) {
+          add_predecessor(key_pack(static_cast<std::uint32_t>(r), i));
+        }
+      }
+    } else if (k != kForkA && k != kForkB) {
+      add_predecessor(key_major(k));  // a child of root A or B
+    }
+  }
+  void compute(ExecContext&) override {
+    if (key() == kForkA || key() == kForkB) {
+      ctx->root(key());
+    } else if (key() != kForkSink) {
+      ctx->children.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+};
+
+struct ForkSpec final : GraphSpec {
+  ForkCtx* ctx;
+  explicit ForkSpec(ForkCtx* c) : ctx(c) {}
+  TaskGraphNode* create(NodeArena& arena, Key) override {
+    return arena.create<ForkNode>(ctx);
+  }
+  // A and B on different colors, children alternating.
+  Color color_of(Key k) const override { return static_cast<Color>(k % 2); }
+  std::size_t expected_nodes() const override { return 3 + 2 * ctx->fanout; }
+};
+
+/// Two workers, and a plan that is never replayed inline (tiny lowering
+/// off), so every replay goes through the scheduler and the unit loop.
+std::unique_ptr<GraphPlan> compile_fork(api::Runtime& rt, ForkSpec& spec) {
+  return rt.compile(spec, kForkSink, 1, plan::kPassAll & ~plan::kPassTinyLower);
+}
+
+class PlanPromotion : public ::testing::TestWithParam<Variant> {};
+
+TEST_P(PlanPromotion, IdlePeerStealsPrivateWork) {
+  auto rt = make_runtime(GetParam());
+  ForkCtx ctx;
+  ForkSpec spec(&ctx);
+  auto plan = compile_fork(rt, spec);
+  ASSERT_EQ(plan->num_fused_nodes(), 3u);
+  ASSERT_EQ(plan->roots().size(), 2u);
+  for (int i = 0; i < 20; ++i) {
+    Execution e = rt.run(*plan);
+    ASSERT_FALSE(ctx.timed_out.load())
+        << "replay " << i << ": root units never ran on two workers at once";
+    EXPECT_EQ(e.nodes_computed(), 3u);
+  }
+}
+
+TEST_P(PlanPromotion, CancelInsideAPromotedUnitRetiresEveryNode) {
+  auto rt = make_runtime(GetParam());
+  ForkCtx ctx;
+  ctx.fanout = 100;  // > the private stack's capacity: children spill too
+  ctx.cancel_after_rendezvous = true;
+  ForkSpec spec(&ctx);
+  auto plan = compile_fork(rt, spec);
+  Execution e = rt.submit(*plan);
+  ctx.cancel_target.store(&e);
+  e.wait();
+  ASSERT_FALSE(ctx.timed_out.load());
+  const Status st = e.status();
+  EXPECT_EQ(st.state, ExecStatus::kCancelled);
+  EXPECT_EQ(e.nodes_computed(), 2u);  // A and B; every child came after
+  EXPECT_EQ(st.skipped_nodes, plan->num_nodes() - 2);
+  EXPECT_EQ(ctx.children.load(), 0u);
+}
+
+TEST_P(PlanPromotion, BornExpiredDeadlineRetiresEveryNodeThroughSpills) {
+  auto rt = make_runtime(GetParam());
+  ForkCtx ctx;
+  ctx.fanout = 100;
+  ForkSpec spec(&ctx);
+  auto plan = compile_fork(rt, spec);
+  SubmitOptions so;
+  so.deadline_ns = 1;  // long past: cancelled at adoption
+  Execution e = rt.run(*plan, so);
+  const Status st = e.status();
+  EXPECT_EQ(st.state, ExecStatus::kDeadlineExceeded);
+  EXPECT_EQ(e.nodes_computed(), 0u);
+  EXPECT_EQ(st.skipped_nodes, plan->num_nodes());
+  EXPECT_EQ(ctx.arrived.load(), 0);
+  // The instance recovered: the next replay runs every node, promoting.
+  Execution ok = rt.run(*plan);
+  ASSERT_FALSE(ctx.timed_out.load());
+  EXPECT_EQ(ok.status().state, ExecStatus::kCompleted);
+  EXPECT_EQ(ok.nodes_computed(), plan->num_nodes());
+  EXPECT_EQ(ctx.children.load(), 200u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothVariants, PlanPromotion,
+                         ::testing::Values(Variant::kNabbit, Variant::kNabbitC),
+                         [](const auto& info) {
+                           return std::string(variant_name(info.param));
+                         });
+
 // ------------------------------------------------------------- allocations
 
 TEST(PlanAlloc, SteadyStateReplayIsAllocationFree) {
@@ -531,6 +689,30 @@ TEST(PlanAlloc, SteadyStateReplayIsAllocationFree) {
         << "steady-state plan replay heap-allocated (variant "
         << variant_name(v) << ")";
     EXPECT_EQ(acc.load(), spec.expected_total() * 20);
+  }
+}
+
+TEST(PlanAlloc, PromotingReplayIsAllocationFree) {
+  // Promotion draws its frames from the worker arenas, never the heap: a
+  // replay that must promote (ForkSpec's rendezvous) and spill (fanout
+  // beyond the private stack) stays allocation-free at steady state.
+  for (Variant v : {Variant::kNabbit, Variant::kNabbitC}) {
+    auto rt = make_runtime(v);
+    ForkCtx ctx;
+    ctx.fanout = 100;
+    ForkSpec spec(&ctx);
+    auto plan = compile_fork(rt, spec);
+    for (int i = 0; i < 12; ++i) rt.run(*plan);
+    rt.wait_idle();
+
+    counting_alloc::begin();
+    for (int i = 0; i < 8; ++i) rt.run(*plan);
+    const std::uint64_t allocs = counting_alloc::end();
+
+    EXPECT_EQ(allocs, 0u) << "promoting plan replay heap-allocated (variant "
+                          << variant_name(v) << ")";
+    EXPECT_FALSE(ctx.timed_out.load());
+    EXPECT_EQ(ctx.children.load(), 200u * 20);
   }
 }
 

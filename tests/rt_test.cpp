@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/nabbitc.h"
@@ -16,6 +18,7 @@
 #include "rt/deque.h"
 #include "rt/parallel_for.h"
 #include "rt/scheduler.h"
+#include "support/timing.h"
 
 namespace nabbitc::rt {
 namespace {
@@ -66,6 +69,23 @@ TEST(ColorMask, EmptyIntersectsNothing) {
   ColorMask e;
   EXPECT_FALSE(e.intersects(ColorMask::single(0)));
   EXPECT_FALSE(ColorMask::single(0).intersects(e));
+}
+
+TEST(ColorMask, LocalMaskAgreesWithTopologyForEveryWorkerAndColor) {
+  // The per-worker locality mask is precomputed from Topology::is_local;
+  // worker ids past the core count wrap (paper(): 80 cores, ids < 128).
+  for (const numa::Topology& topo :
+       {numa::Topology(1, 6), numa::Topology(6, 1), numa::Topology::paper()}) {
+    for (std::uint32_t w = 0; w < ColorMask::kMaxColors; ++w) {
+      const ColorMask m = local_color_mask(topo, w);
+      for (std::uint32_t c = 0; c < ColorMask::kMaxColors; ++c) {
+        const auto color = static_cast<numa::Color>(c);
+        ASSERT_EQ(m.test(color), topo.is_local(color, w))
+            << topo.describe() << " worker " << w << " color " << c;
+      }
+      EXPECT_FALSE(m.test(numa::kInvalidColor));
+    }
+  }
 }
 
 // ------------------------------------------------------------------- arena
@@ -540,6 +560,111 @@ TEST(Scheduler, WaitIdleQuiescesThePool) {
   const auto b = rt.scheduler().aggregate_counters();
   EXPECT_EQ(a.tasks_executed, b.tasks_executed);
   EXPECT_EQ(a.steal_attempts_total(), b.steal_attempts_total());
+}
+
+TEST(Scheduler, WorkerColorIsLocalAgreesWithTopology) {
+  // Worker::color_is_local answers from its mask below kMaxColors and from
+  // the Topology above it; both must match Topology::is_local everywhere,
+  // kInvalidColor included. Topology(2, 1) with 4 workers wraps ids 2, 3.
+  const std::pair<numa::Topology, std::uint32_t> cases[] = {
+      {numa::Topology(1, 4), 4},
+      {numa::Topology(4, 1), 4},
+      {numa::Topology::paper(), 4},
+      {numa::Topology(2, 1), 4},
+  };
+  for (const auto& [topo, workers] : cases) {
+    api::RuntimeOptions opts;
+    opts.workers = workers;
+    opts.topology = topo;
+    api::Runtime rt(opts);
+    for (std::uint32_t i = 0; i < workers; ++i) {
+      const Worker& w = rt.scheduler().worker(i);
+      for (numa::Color c = numa::kInvalidColor;
+           c < static_cast<numa::Color>(ColorMask::kMaxColors + 100); ++c) {
+        ASSERT_EQ(w.color_is_local(c), topo.is_local(c, i))
+            << topo.describe() << " worker " << i << " color " << c;
+      }
+    }
+  }
+}
+
+namespace {
+
+/// A root that holds a worker until `release` (or a 10 s watchdog, so a
+/// regression fails its assertions instead of hanging the suite).
+struct GatedRoot {
+  Scheduler::RootJob job;
+  std::atomic<bool> release{false};
+  GatedRoot() {
+    job.fn = [this](Worker&) {
+      const std::uint64_t give_up = now_ns() + 10'000'000'000ull;
+      while (!release.load(std::memory_order_acquire) && now_ns() < give_up) {
+        std::this_thread::yield();
+      }
+    };
+  }
+};
+
+}  // namespace
+
+TEST(Scheduler, IdleSnapshotGivesUpOnceAnotherSubmissionIsIn) {
+  // The attribution probe a submitter runs before its own submit: if any
+  // other submission landed since it read submissions(), the window is void
+  // and the probe must return at once, not wait out the other job.
+  api::Runtime rt(test_options(2));
+  Scheduler& s = rt.scheduler();
+  rt.wait_idle();
+  const std::uint32_t seen = s.submissions();
+  GatedRoot other;
+  s.submit(other.job);
+  WorkerCounters out;
+  out.tasks_executed = 12345;
+  const std::uint64_t t0 = now_ns();
+  EXPECT_FALSE(s.aggregate_counters_idle(seen, out));
+  const std::uint64_t waited = now_ns() - t0;
+  other.release.store(true, std::memory_order_release);
+  s.wait(other.job);
+  EXPECT_LT(waited, 1'000'000'000ull) << "probe waited out a foreign job";
+  EXPECT_EQ(out.tasks_executed, 12345u);  // untouched on give-up
+  // With nobody else submitting, the same probe snapshots the idle pool.
+  EXPECT_TRUE(s.aggregate_counters_idle(s.submissions(), out));
+  EXPECT_EQ(out.tasks_executed, s.aggregate_counters().tasks_executed);
+}
+
+TEST(Scheduler, IdleSnapshotGivesUpWhenAnotherCallerSubmitsMidWait) {
+  // The probe is already waiting (an earlier job keeps the pool busy) when
+  // another caller submits: it must give up while both jobs still run.
+  api::Runtime rt(test_options(2));
+  Scheduler& s = rt.scheduler();
+  GatedRoot earlier, later;
+  s.submit(earlier.job);
+  const std::uint32_t seen = s.submissions();
+  std::atomic<bool> returned{false};
+  std::atomic<std::uint64_t> waited{0};
+  std::thread prober([&] {
+    WorkerCounters out;
+    const std::uint64_t t0 = now_ns();
+    EXPECT_FALSE(s.aggregate_counters_idle(seen, out));
+    waited.store(now_ns() - t0);
+    returned.store(true);
+  });
+  // Let the prober block on the busy pool, then submit from this thread.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  const std::uint64_t t_submit = now_ns();
+  s.submit(later.job);
+  const std::uint64_t give_up = now_ns() + 10'000'000'000ull;
+  while (!returned.load() && now_ns() < give_up) std::this_thread::yield();
+  const std::uint64_t after_submit = now_ns() - t_submit;
+  const bool jobs_still_running = !earlier.job.done.load() && !later.job.done.load();
+  earlier.release.store(true);
+  later.release.store(true);
+  prober.join();
+  s.wait(earlier.job);
+  s.wait(later.job);
+  EXPECT_TRUE(jobs_still_running) << "probe returned only after the jobs did";
+  EXPECT_LT(after_submit, 1'000'000'000ull);
+  EXPECT_GT(waited.load(), 0u);
 }
 
 // ------------------------------------------------------ submission control
