@@ -15,8 +15,14 @@
 //   --trace-csv=1                    also emit the flat CSV next to the JSON
 #pragma once
 
+#include <sched.h>
+#include <sys/utsname.h>
+
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/nabbitc.h"
@@ -132,6 +138,47 @@ inline void export_trace(const BenchArgs& args, const trace::Trace& t,
       std::printf("[trace] FAILED to write %s\n", csv.c_str());
     }
   }
+}
+
+/// CPUs this process may run on (its affinity mask, so taskset and cpuset
+/// limits count); the machine's logical CPU count if the mask is unreadable.
+inline std::uint32_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<std::uint32_t>(n);
+  }
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1u : n;
+}
+
+/// The host a real-thread measurement ran on, as a JSON object: CPU model,
+/// CPUs usable by this process (`nproc`) and online on the machine, kernel
+/// release, and whether workers were pinned. Numbers from different
+/// fingerprints are not comparable.
+inline std::string host_fingerprint_json(bool pinned) {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+  for (char& c : cpu) {
+    if (c == '"' || c == '\\') c = ' ';
+  }
+  utsname u{};
+  const std::string kernel = ::uname(&u) == 0 ? u.release : "unknown";
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"cpu\": \"%s\", \"nproc\": %u, \"cpus_online\": %u, "
+                "\"kernel\": \"%s\", \"pinned\": %s}",
+                cpu.c_str(), usable_cpus(), std::thread::hardware_concurrency(),
+                kernel.c_str(), pinned ? "true" : "false");
+  return buf;
 }
 
 inline void print_header(const char* what) {

@@ -1,7 +1,8 @@
 // Runtime micro-benchmarks: the primitive costs behind the paper's overhead
 // analysis — deque operations, colored-steal checks, spawn/sync, node
 // creation, successor registration — plus end-to-end dynamic-executor node
-// throughput, the metric every hot-path perf PR is judged on.
+// throughput, the metric every hot-path perf PR is judged on, and the
+// dynamic executor's speedup on a wavefront of fixed-cost nodes.
 //
 // Self-contained (no google-benchmark): each micro-bench is calibrated to a
 // target wall time, repeated, and the best repeat is reported. Results are
@@ -11,6 +12,7 @@
 // Usage (key=value args, NABBITC_* env overrides):
 //   bench_micro_runtime [preset=tiny|default] [out=BENCH_micro.json]
 //                       [repeats=N] [filter=substring]
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "api/nabbitc.h"
+#include "bench/bench_common.h"
 #include "nabbit/concurrent_map.h"
 #include "nabbit/node.h"
 #include "nabbit/successor_list.h"
@@ -245,6 +248,60 @@ void bench_spawn_sync(const BenchParams& p) {
            }
          }, 1 << 14),
          "ns/task");
+}
+
+// ---------------------------------------------------------------------------
+// Wavefront parallelism: the same 16x16 wavefront of fixed-cost spin nodes
+// on 2 workers and on 1, median of 7 runs each. Two workers can run at most
+// ~1.9x faster (the wavefront widens and narrows again); an executor that
+// keeps each node's release pinned under a blocking sync on one worker reads
+// ~1.0x (ci.sh gates this at >= 1.5 when the process has >= 2 CPUs).
+
+struct SpinGridNode final : nabbit::TaskGraphNode {
+  std::uint64_t spin_ns;
+  explicit SpinGridNode(std::uint64_t ns) : spin_ns(ns) {}
+  void init(nabbit::ExecContext&) override {
+    const std::uint32_t i = nabbit::key_major(key()), j = nabbit::key_minor(key());
+    if (i > 0) add_predecessor(nabbit::key_pack(i - 1, j));
+    if (j > 0) add_predecessor(nabbit::key_pack(i, j - 1));
+  }
+  void compute(nabbit::ExecContext&) override {
+    const std::uint64_t t0 = now_ns();
+    while (now_ns() - t0 < spin_ns) {
+    }
+  }
+};
+
+struct SpinGridSpec final : nabbit::GraphSpec {
+  std::uint64_t spin_ns;
+  explicit SpinGridSpec(std::uint64_t ns) : spin_ns(ns) {}
+  nabbit::TaskGraphNode* create(nabbit::NodeArena& arena, Key) override {
+    return arena.create<SpinGridNode>(spin_ns);
+  }
+  std::size_t expected_nodes() const override { return 16 * 16; }
+};
+
+double median_wave_seconds(std::uint32_t workers, std::uint64_t spin_ns) {
+  api::RuntimeOptions ro;
+  ro.workers = workers;
+  ro.variant = api::Variant::kNabbit;
+  api::Runtime rt(ro);
+  SpinGridSpec spec(spin_ns);
+  std::vector<double> s;
+  for (int r = 0; r < 8; ++r) {  // the first run is a warm-up
+    Timer t;
+    api::Execution e = rt.run(spec, nabbit::key_pack(15, 15));
+    if (r > 0) s.push_back(t.seconds());
+    if (e.nodes_computed() != 16 * 16) std::abort();
+  }
+  std::sort(s.begin(), s.end());
+  return s[s.size() / 2];
+}
+
+void bench_dynamic_wave_speedup(std::uint64_t spin_ns) {
+  const double one = median_wave_seconds(1, spin_ns);
+  const double two = median_wave_seconds(2, spin_ns);
+  report("dynamic_wave_speedup_x", one / two, "x");
 }
 
 // ---------------------------------------------------------------------------
@@ -500,6 +557,7 @@ void write_json(const std::string& path, const std::string& preset,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"micro_runtime\",\n");
+  std::fprintf(f, "  \"host\": %s,\n", bench::host_fingerprint_json(false).c_str());
   std::fprintf(f, "  \"preset\": \"%s\",\n", preset.c_str());
   std::fprintf(f, "  \"repeats\": %d,\n", p.repeats);
   std::fprintf(f, "  \"grid_side\": %u,\n", grid_side);
@@ -526,7 +584,9 @@ int main(int argc, char** argv) {
   BenchParams p;
   std::uint32_t grid_side = 96;
   std::uint32_t dyn_workers = 2;
+  std::uint64_t wave_spin_ns = 200'000;
   if (preset == "tiny") {
+    wave_spin_ns = 50'000;
     p.target_seconds = 0.02;
     p.repeats = 2;
     p.map_keys = 1 << 14;
@@ -568,6 +628,10 @@ int main(int argc, char** argv) {
   if (filter.empty() ||
       std::string("dynamic_node_throughput").find(filter) != std::string::npos) {
     bench_dynamic_node_throughput(p, grid_side, dyn_workers);
+  }
+  if (filter.empty() ||
+      std::string("dynamic_wave_speedup").find(filter) != std::string::npos) {
+    bench_dynamic_wave_speedup(wave_spin_ns);
   }
   write_json(out, preset, p, grid_side, dyn_workers);
   return 0;

@@ -1,6 +1,6 @@
 // Sharded insert-only concurrent hash map: Key -> TaskGraphNode*.
 //
-// Backs Nabbit's on-demand node creation: try_init_compute atomically
+// Backs Nabbit's on-demand node creation: the exploration step atomically
 // "create or get" a node for a predecessor key; exactly one thread wins
 // creation. Sharding bounds contention; open addressing with linear probing
 // keeps lookups allocation-free. The map owns the nodes it stores: they are

@@ -5,11 +5,17 @@
 // and notifying successors as nodes complete (SectionII of the paper;
 // protocol from Agrawal, Leiserson, Sukha, IPDPS'10).
 //
-// Locality-aware spawning is a pair of virtual hooks (spawn_preds /
-// spawn_ready) so that NabbitC (nabbitc/colored_executor.h) can override the
-// spawn *order* and advertised color masks without touching the dependence
-// protocol. The base class implements vanilla Nabbit: list-order spawning
-// with no color advertisement.
+// No protocol step blocks. A node's join counts the predecessor
+// explorations still to report (holds) plus the predecessors still to
+// compute (edges), and whoever drops it to zero computes the node: the last
+// finisher continues, whichever worker that is. Only the root waits, once.
+// See executor.cpp for the protocol.
+//
+// Locality-aware spawning is a set of virtual hooks (spawn_preds /
+// spawn_ready / lone_mask) so that NabbitC (nabbitc/colored_executor.h) can
+// override the spawn *order* and advertised color masks without touching
+// the dependence protocol. The base class implements vanilla Nabbit:
+// list-order spawning with no color advertisement.
 #pragma once
 
 #include <atomic>
@@ -32,7 +38,7 @@ class DynamicExecutor : public NodeLookup {
     /// (rt::Scheduler::RootJob::cancel); null = never cancelled. Polled
     /// once per node dispatch (one atomic load, no clock). Once set,
     /// not-yet-started nodes are skipped: their compute() never runs, but
-    /// successor notification still drains so every spawn syncs and the
+    /// successor notification still drains so every node retires and the
     /// root returns promptly.
     const std::atomic<std::uint8_t>* cancel = nullptr;
   };
@@ -41,6 +47,25 @@ class DynamicExecutor : public NodeLookup {
   struct PredItem {
     Key key;
     numa::Color color;
+  };
+
+  /// One protocol step. A step runs to its end without waiting and yields
+  /// at most one step to continue with, so drive() runs a chain of steps as
+  /// a loop, whatever the graph's depth.
+  struct Step {
+    enum class Kind : std::uint8_t { kNone, kInit, kExplore, kCompute };
+    Kind kind = Kind::kNone;
+    /// kInit / kCompute: the node; kExplore: the dependent whose hold the
+    /// exploration carries.
+    TaskGraphNode* node = nullptr;
+    /// kExplore: the predecessor's key.
+    Key key = 0;
+
+    static Step init(TaskGraphNode* u) { return {Kind::kInit, u, 0}; }
+    static Step explore(TaskGraphNode* parent, Key pred) {
+      return {Kind::kExplore, parent, pred};
+    }
+    static Step compute(TaskGraphNode* u) { return {Kind::kCompute, u, 0}; }
   };
 
   DynamicExecutor(rt::Scheduler& sched, GraphSpec& spec, Options opts);
@@ -60,8 +85,9 @@ class DynamicExecutor : public NodeLookup {
   /// sink and drives the dependence protocol to completion. This is what
   /// api::Runtime submits, so that many executions — each with its own
   /// executor, node map and arenas — can share one scheduler concurrently.
-  /// Every spawn is synced before returning, so on return the sink (and
-  /// all transitive predecessors) are computed; aborts if not (cycle).
+  /// Returns once every frame of the execution has finished, so on return
+  /// the sink (and all transitive predecessors) are retired; aborts if the
+  /// sink is not (cycle).
   void run_root(rt::Worker& w, Key sink_key);
 
   TaskGraphNode* find(Key key) const override { return map_.find(key); }
@@ -90,34 +116,46 @@ class DynamicExecutor : public NodeLookup {
            opts_.cancel->load(std::memory_order_acquire) != 0;
   }
 
-  // --- Protocol building blocks ------------------------------------------
-  // Exposed for the colored subclass's spawn leaves and for white-box
-  // tests; not user entry points.
-  /// Atomically create-or-get the predecessor `pred_key`; the creating
-  /// thread initializes and executes it, others enqueue `parent` on its
-  /// successor list (SectionII, actions 1-2).
-  void try_init_compute(rt::Worker& w, TaskGraphNode* parent, Key pred_key);
-  /// init() + parallel predecessor exploration + readiness check.
-  void init_node_and_compute(rt::Worker& w, TaskGraphNode* u);
-  /// compute() + successor notification (SectionII, action 3).
-  void compute_and_notify(rt::Worker& w, TaskGraphNode* u);
+  /// Runs `s` and every step it continues into, on this worker. What a
+  /// published frame runs; exposed for the colored subclass's spawn leaves.
+  void drive(rt::Worker& w, Step s);
 
  protected:
   // --- Locality-aware hooks (overridden by ColoredDynamicExecutor) ------
-  /// Spawns exploration of `parent`'s predecessors (leaf: try_init_compute).
-  virtual void spawn_preds(rt::Worker& w, rt::TaskGroup& g, TaskGraphNode* parent,
-                           PredItem* items, std::size_t n);
-  /// Spawns execution of newly ready successors (leaf: compute_and_notify).
-  virtual void spawn_ready(rt::Worker& w, rt::TaskGroup& g, TaskGraphNode** ready,
-                           std::size_t n);
+  // The spawn hooks publish all but one of n >= 2 items as stealable frames
+  // joining frames(), each running drive() on what it keeps, and return the
+  // index of the item the caller continues with.
+  /// Explorations of `parent`'s predecessors.
+  virtual std::size_t spawn_preds(rt::Worker& w, TaskGraphNode* parent,
+                                  PredItem* items, std::size_t n);
+  /// Newly ready successors.
+  virtual std::size_t spawn_ready(rt::Worker& w, TaskGraphNode** ready,
+                                  std::size_t n);
+  /// Colors advertised by a frame publishing the lone ready `node`.
+  virtual rt::ColorMask lone_mask(const TaskGraphNode& node) const;
+
+  /// Every frame this execution publishes; run_root waits for all of them.
+  rt::ShardedGroup& frames() noexcept { return frames_; }
 
  private:
+  /// Per-drive node counts, published once when the drive ends: one shared
+  /// RMW per counter per drive instead of one per node.
+  struct Tally {
+    std::uint64_t created = 0;
+    std::uint64_t computed = 0;
+    std::uint64_t skipped = 0;
+  };
+
   TaskGraphNode* create_node(NodeArena& arena, Key key);
+  Step init_node(rt::Worker& w, TaskGraphNode* u, Tally& t);
+  Step explore(rt::Worker& w, TaskGraphNode* parent, Key pred_key);
+  Step compute_and_notify(rt::Worker& w, TaskGraphNode* u, Tally& t);
 
   rt::Scheduler& sched_;
   GraphSpec& spec_;
   Options opts_;
   ConcurrentNodeMap map_;
+  rt::ShardedGroup frames_;
   std::atomic<std::uint64_t> nodes_created_{0};
   std::atomic<std::uint64_t> nodes_computed_{0};
   std::atomic<std::uint64_t> nodes_skipped_{0};

@@ -121,7 +121,9 @@ class TaskGraphNode {
   Key key_ = 0;
   numa::Color color_ = 0;
   SmallVec<Key, kInlinePreds> preds_;
-  /// Pending dependence count plus one exploration token (see executor.cpp).
+  /// Predecessor explorations still to report (holds) plus predecessors
+  /// still to compute (edges); born 1, and whoever drops it to 0 computes
+  /// the node (see executor.cpp).
   std::atomic<std::int64_t> join_{1};
   std::atomic<NodeStatus> status_{NodeStatus::kUnvisited};
   SuccessorList successors_;

@@ -50,7 +50,8 @@ class StaticExecutor : public NodeLookup {
   void compute_and_notify(rt::Worker& w, TaskGraphNode* u);
 
  protected:
-  /// Locality-aware hook, same contract as DynamicExecutor::spawn_ready.
+  /// Locality-aware hook: runs compute_and_notify over ready[0, n), the
+  /// spawned frames joining `g`.
   virtual void spawn_ready(rt::Worker& w, rt::TaskGroup& g, TaskGraphNode** ready,
                            std::size_t n);
 

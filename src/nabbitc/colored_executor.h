@@ -21,10 +21,12 @@ class ColoredDynamicExecutor final : public DynamicExecutor {
   using DynamicExecutor::DynamicExecutor;
 
  protected:
-  void spawn_preds(rt::Worker& w, rt::TaskGroup& g, TaskGraphNode* parent,
-                   PredItem* items, std::size_t n) override;
-  void spawn_ready(rt::Worker& w, rt::TaskGroup& g, TaskGraphNode** ready,
-                   std::size_t n) override;
+  std::size_t spawn_preds(rt::Worker& w, TaskGraphNode* parent, PredItem* items,
+                          std::size_t n) override;
+  std::size_t spawn_ready(rt::Worker& w, TaskGraphNode** ready,
+                          std::size_t n) override;
+  /// A lone published successor advertises its own color.
+  rt::ColorMask lone_mask(const TaskGraphNode& node) const override;
 };
 
 class ColoredStaticExecutor final : public StaticExecutor {

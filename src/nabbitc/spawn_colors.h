@@ -14,15 +14,21 @@
 //   * when the worker's color is absent, the original order is kept, so a
 //     worker never stalls looking for work of its own color.
 //
-// The same mechanism serves predecessor exploration and successor
-// notification, so it is generic over the item type and the leaf action.
+// The same mechanism serves predecessor exploration, successor notification
+// and plan replay, so it is generic over the group, the item type and the
+// leaf action. spread_colored leaves the morphing continuation's last item
+// to its caller (the dynamic executor runs it from its own loop);
+// spawn_colored runs it on the spot.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "numa/topology.h"
 #include "rt/scheduler.h"
+#include "support/check.h"
 
 namespace nabbitc::nabbit {
 
@@ -35,9 +41,9 @@ struct ColorGroup {
 
 namespace detail {
 
-template <typename Item, typename Leaf>
+template <typename Group, typename Item, typename Leaf>
 struct ColoredFrame {
-  rt::TaskGroup* group;
+  Group* group;
   const Item* items;
   const ColorGroup* groups;
   Leaf leaf;
@@ -58,8 +64,9 @@ struct ColoredFrame {
     return m;
   }
 
-  /// The paper's spawn_colors over color-group range [lo, hi).
-  void run_groups(rt::Worker& w, std::uint32_t lo, std::uint32_t hi) const {
+  /// The paper's spawn_colors over color-group range [lo, hi): publishes
+  /// all but one item and returns the index of the one left for the caller.
+  std::uint32_t run_groups(rt::Worker& w, std::uint32_t lo, std::uint32_t hi) const {
     while (hi - lo > 1) {
       std::uint32_t mid = lo + (hi - lo) / 2;
       // Morph: keep the half with our color for inline execution ("if c_p
@@ -75,45 +82,44 @@ struct ColoredFrame {
       const auto* self = this;
       group->spawn(w, mask_of(steal_lo, steal_hi),
                    [self, steal_lo, steal_hi](rt::Worker& ww) {
-                     self->run_groups(ww, steal_lo, steal_hi);
+                     self->leaf(ww, self->items[self->run_groups(ww, steal_lo, steal_hi)]);
                    });
       lo = inline_lo;
       hi = inline_hi;
     }
     const ColorGroup& g = groups[lo];
-    run_nodes(w, g.begin, g.end, rt::ColorMask::single(g.color));
+    return run_nodes(w, g.begin, g.end, rt::ColorMask::single(g.color));
   }
 
-  /// The paper's spawn_nodes over item range [lo, hi), all of one color.
-  void run_nodes(rt::Worker& w, std::uint32_t lo, std::uint32_t hi,
-                 rt::ColorMask mask) const {
+  /// The paper's spawn_nodes over item range [lo, hi), all of one color;
+  /// returns lo, the item left for the caller.
+  std::uint32_t run_nodes(rt::Worker& w, std::uint32_t lo, std::uint32_t hi,
+                          rt::ColorMask mask) const {
     while (hi - lo > 1) {
       std::uint32_t mid = lo + (hi - lo) / 2;
       const auto* self = this;
       group->spawn(w, mask, [self, mid, hi, mask](rt::Worker& ww) {
-        self->run_nodes(ww, mid, hi, mask);
+        self->leaf(ww, self->items[self->run_nodes(ww, mid, hi, mask)]);
       });
       hi = mid;
     }
-    leaf(w, items[lo]);
+    return lo;
   }
 };
 
 }  // namespace detail
 
-/// Sorts `items` by color (gather_colors), builds the group table in the
-/// worker's arena, and runs the morphing-continuation spawn. `get_color`
-/// maps an Item to its numa::Color; `leaf(worker, item)` executes one item.
-/// All spawned frames join `g`; the caller must g.wait().
-template <typename Item, typename GetColor, typename Leaf>
-void spawn_colored(rt::Worker& w, rt::TaskGroup& g, Item* items, std::size_t n,
-                   GetColor get_color, Leaf leaf) {
+/// Sorts `items` (n >= 1) by color (gather_colors), builds the group table
+/// in the worker's arena, runs the morphing-continuation spawn, and returns
+/// the index of the one item the caller runs itself. `get_color` maps an
+/// Item to its numa::Color; `leaf(worker, item)` is what a published frame
+/// runs on the item it keeps. All published frames join `g`.
+template <typename Group, typename Item, typename GetColor, typename Leaf>
+std::size_t spread_colored(rt::Worker& w, Group& g, Item* items, std::size_t n,
+                           GetColor get_color, Leaf leaf) {
   static_assert(std::is_trivially_destructible_v<Leaf>);
-  if (n == 0) return;
-  if (n == 1) {
-    leaf(w, items[0]);
-    return;
-  }
+  NABBITC_DCHECK(n >= 1);
+  if (n == 1) return 0;
   std::sort(items, items + n, [&](const Item& a, const Item& b) {
     return get_color(a) < get_color(b);
   });
@@ -127,9 +133,18 @@ void spawn_colored(rt::Worker& w, rt::TaskGroup& g, Item* items, std::size_t n,
       start = i;
     }
   }
-  using Frame = detail::ColoredFrame<Item, Leaf>;
+  using Frame = detail::ColoredFrame<Group, Item, Leaf>;
   auto* frame = w.arena().create<Frame>(Frame{&g, items, groups, leaf});
-  frame->run_groups(w, 0, ngroups);
+  return frame->run_groups(w, 0, ngroups);
+}
+
+/// spread_colored, then the leaf on the kept item: every item runs, the
+/// caller must g.wait().
+template <typename Group, typename Item, typename GetColor, typename Leaf>
+void spawn_colored(rt::Worker& w, Group& g, Item* items, std::size_t n,
+                   GetColor get_color, Leaf leaf) {
+  if (n == 0) return;
+  leaf(w, items[spread_colored(w, g, items, n, get_color, leaf)]);
 }
 
 }  // namespace nabbitc::nabbit

@@ -62,6 +62,7 @@
 #include "rt/submit_ring.h"
 #include "rt/task.h"
 #include "support/align.h"
+#include "support/check.h"
 #include "support/rng.h"
 #include "support/spin.h"
 #include "support/timing.h"
@@ -169,6 +170,11 @@ class Worker {
   /// True iff some worker is idle. The caller is running work (hence busy),
   /// so the idle one is a peer that would steal what is made stealable.
   bool peers_idle() const noexcept;
+
+  /// Runs tasks (own deque, then steals) until `done()` holds: the helping
+  /// wait behind TaskGroup::wait and the dynamic executor's root wait.
+  template <typename Done>
+  void help_until(Done&& done);
 
   /// One attempt to obtain a task: own deque first, then one steal round.
   /// Returns nullptr when no work was found this round.
@@ -600,13 +606,12 @@ inline bool Worker::peers_idle() const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// TaskGroup inline implementation (needs Worker).
+// TaskGroup / ShardedGroup inline implementation (needs Worker).
 
-template <typename F>
-void TaskGroup::spawn(Worker& worker, const ColorMask& colors, F&& fn) {
-  using Fn = std::decay_t<F>;
-  add(1);
-  auto* task = worker.arena().create<GroupTask<Fn>>(this, std::forward<F>(fn));
+namespace detail {
+
+/// Stamps a freshly built frame and makes it stealable from `worker`'s deque.
+inline void push_frame(Worker& worker, Task* task, const ColorMask& colors) {
   task->colors = colors;  // the paper's cilkrts_set_next_colors()
   task->epoch = worker.arena().epoch();  // spawns inherit the job's epoch
   ++worker.counters().spawns;
@@ -614,24 +619,55 @@ void TaskGroup::spawn(Worker& worker, const ColorMask& colors, F&& fn) {
   worker.deque().push(task);
 }
 
+}  // namespace detail
+
+template <typename F>
+void TaskGroup::spawn(Worker& worker, const ColorMask& colors, F&& fn) {
+  using Fn = std::decay_t<F>;
+  add(1);
+  detail::push_frame(
+      worker,
+      worker.arena().create<GroupTask<TaskGroup, Fn>>(this, std::forward<F>(fn)),
+      colors);
+}
+
 inline void TaskGroup::wait(Worker& worker) {
-  // Work-first helping: drain own deque, then steal, until the group is
-  // done. Misses back off exactly like the idle loop in service_loop — a
-  // bare yield() here made helping workers spin hotter than idle ones and
-  // syscall on every miss.
-  // A miss marks the worker idle, so plan replays running elsewhere hand it
-  // work; leaving marks it busy again (it resumes the task that waited).
+  worker.help_until([this] { return done(); });
+}
+
+template <typename F>
+void ShardedGroup::spawn(Worker& worker, const ColorMask& colors, F&& fn) {
+  using Fn = std::decay_t<F>;
+  NABBITC_DCHECK(worker.id() < num_shards_);
+  bump(shards_[worker.id()].spawned);
+  detail::push_frame(
+      worker,
+      worker.arena().create<GroupTask<ShardedGroup, Fn>>(this, std::forward<F>(fn)),
+      colors);
+}
+
+inline void ShardedGroup::finish(Worker& worker) noexcept {
+  bump(shards_[worker.id()].finished);
+}
+
+template <typename Done>
+void Worker::help_until(Done&& done) {
+  // Work-first helping: drain own deque, then steal, until `done()`. Misses
+  // back off exactly like the idle loop in service_loop — a bare yield()
+  // here made helping workers spin hotter than idle ones and syscall on
+  // every miss. A miss marks the worker idle, so work running elsewhere is
+  // published to it; leaving marks it busy again (it resumes its caller).
   Backoff backoff;
   while (!done()) {
-    if (Task* t = worker.find_task()) {
-      worker.run_task(t);
+    if (Task* t = find_task()) {
+      run_task(t);
       backoff.reset();
     } else {
-      worker.mark_idle();
+      mark_idle();
       backoff.pause();
     }
   }
-  worker.mark_busy();
+  mark_busy();
 }
 
 }  // namespace nabbitc::rt

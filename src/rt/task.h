@@ -12,10 +12,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <utility>
 
 #include "rt/color_mask.h"
+#include "support/align.h"
 
 namespace nabbitc::rt {
 
@@ -67,16 +69,72 @@ class TaskGroup {
     pending_.fetch_add(n, std::memory_order_relaxed);
   }
   void finish() noexcept { pending_.fetch_sub(1, std::memory_order_acq_rel); }
+  /// finish() for a frame that ran on `worker` (GroupTask's uniform call).
+  void finish(Worker&) noexcept { finish(); }
 
  private:
   std::atomic<std::int64_t> pending_{0};
 };
 
-/// A closure bound to a TaskGroup; decrements the group on completion.
-template <typename F>
+/// A join counter split by worker, for frames that are waited on once, as a
+/// whole. Each worker counts the frames it spawned and the frames it finished
+/// on its own cache line, so no line is written by every spawn; the waiter
+/// sums the lines. A TaskGroup's single counter is right for a sync that
+/// each spawner performs itself; this is for one wait over a whole execution.
+class ShardedGroup {
+ public:
+  /// `num_workers` bounds the worker ids that spawn or run its frames.
+  explicit ShardedGroup(std::uint32_t num_workers)
+      : shards_(std::make_unique<Shard[]>(num_workers)), num_shards_(num_workers) {}
+  ShardedGroup(const ShardedGroup&) = delete;
+  ShardedGroup& operator=(const ShardedGroup&) = delete;
+
+  /// Spawns `fn(Worker&)` as a stealable frame advertising `colors`.
+  /// Defined in scheduler.h (needs Worker).
+  template <typename F>
+  void spawn(Worker& worker, const ColorMask& colors, F&& fn);
+
+  /// True iff every frame spawned so far has finished. Sound when frames
+  /// are spawned only by this group's own frames, or by the caller before it
+  /// asks: finish counts are read before spawn counts, and a frame's spawn
+  /// happens-before its finish, so every finish seen has its spawn seen;
+  /// equal sums then mean no frame seen is still running, and only a running
+  /// frame could have spawned one that was missed.
+  bool quiescent() const noexcept {
+    std::uint64_t finished = 0, spawned = 0;
+    for (std::uint32_t i = 0; i < num_shards_; ++i) {
+      finished += shards_[i].finished.load(std::memory_order_acquire);
+    }
+    for (std::uint32_t i = 0; i < num_shards_; ++i) {
+      spawned += shards_[i].spawned.load(std::memory_order_acquire);
+    }
+    return finished == spawned;
+  }
+
+  /// Counts one finished frame on `worker`'s line. Defined in scheduler.h.
+  void finish(Worker& worker) noexcept;
+
+ private:
+  struct alignas(kCacheLine) Shard {
+    std::atomic<std::uint64_t> spawned{0};
+    std::atomic<std::uint64_t> finished{0};
+  };
+  /// Only the owning worker writes its shard: load + store, not an RMW.
+  static void bump(std::atomic<std::uint64_t>& c) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+  }
+
+  std::unique_ptr<Shard[]> shards_;
+  std::uint32_t num_shards_;
+};
+
+/// A closure bound to a group; counts itself finished in the group after it
+/// ran. The frame is not touched after that: the group's waiter may return
+/// and free what the closure captured.
+template <typename Group, typename F>
 class GroupTask final : public Task {
  public:
-  GroupTask(TaskGroup* group, F fn) : group_(group), fn_(std::move(fn)) {
+  GroupTask(Group* group, F fn) : group_(group), fn_(std::move(fn)) {
     static_assert(std::is_trivially_destructible_v<F>,
                   "task closures live in arenas; capture only trivially "
                   "destructible state (pointers, spans, scalars)");
@@ -84,11 +142,11 @@ class GroupTask final : public Task {
 
   void run(Worker& worker) override {
     fn_(worker);
-    group_->finish();
+    group_->finish(worker);
   }
 
  private:
-  TaskGroup* group_;
+  Group* group_;
   F fn_;
 };
 

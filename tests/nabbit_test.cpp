@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -594,11 +595,11 @@ TEST(Keys, PackUnpackRoundTrip) {
 namespace nabbitc::nabbit {
 namespace {
 
-// Regression: the created-predecessor path of try_init_compute must
-// register the parent's dependence when the recursive initialization leaves
-// the predecessor pending (one of *its* preds still executing elsewhere).
-// A 2-D wavefront with a steep cost gradient reproduces the original bug
-// within a few rounds; see executor.cpp's try_init_compute comment.
+// Regression: the created-predecessor path of the exploration step must
+// register the parent's dependence even though the predecessor may stay
+// pending long after its own init (one of *its* preds still executing
+// elsewhere). A 2-D wavefront with a steep cost gradient reproduced the
+// original bug within a few rounds; see executor.cpp's explore().
 class GradientWavefrontNode final : public TaskGraphNode {
  public:
   void init(ExecContext&) override {
@@ -641,6 +642,239 @@ TEST(DynamicExecutorRegression, CreatedPendingPredecessorIsRegistered) {
     ASSERT_EQ(e.nodes_computed(), 64u) << "round " << round;
   }
 }
+
+// ------------------------------------------------- non-blocking protocol
+//
+// No protocol step waits, so a node runs on whichever worker finishes its
+// last join, published work reaches idle peers, and the C++ stack does not
+// grow with the graph's depth.
+
+class NonBlocking : public ::testing::TestWithParam<api::Variant> {
+ protected:
+  api::Runtime make_runtime() const {
+    api::RuntimeOptions opts;
+    opts.workers = 2;
+    opts.variant = GetParam();
+    return api::Runtime(opts);
+  }
+};
+
+/// A side x side wavefront (preds: up and left) whose compute is a hook.
+template <typename Hook>
+class HookedGridSpec final : public GraphSpec {
+ public:
+  HookedGridSpec(std::uint32_t side, Hook hook) : side_(side), hook_(hook) {}
+  Key sink() const { return key_pack(side_ - 1, side_ - 1); }
+  TaskGraphNode* create(NodeArena& arena, Key) override {
+    return arena.create<Node>(this);
+  }
+  numa::Color color_of(Key k) const override {
+    return static_cast<numa::Color>(key_major(k) % 2);
+  }
+  std::size_t expected_nodes() const override {
+    return std::size_t{side_} * side_;
+  }
+
+ private:
+  struct Node final : TaskGraphNode {
+    HookedGridSpec* spec;
+    explicit Node(HookedGridSpec* s) : spec(s) {}
+    void init(ExecContext&) override {
+      const std::uint32_t i = key_major(key()), j = key_minor(key());
+      if (i > 0) add_predecessor(key_pack(i - 1, j));
+      if (j > 0) add_predecessor(key_pack(i, j - 1));
+    }
+    void compute(ExecContext&) override { spec->hook_(key()); }
+  };
+
+  std::uint32_t side_;
+  Hook hook_;
+};
+
+/// Spins (yielding) until `done()` or a 10 s budget shared by the whole
+/// test runs out; returns false once it has.
+struct Rendezvous {
+  std::chrono::steady_clock::time_point give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> timed_out{false};
+
+  template <typename Done>
+  bool await(Done done) {
+    while (!done()) {
+      if (timed_out.load() || std::chrono::steady_clock::now() > give_up) {
+        timed_out.store(true);
+        return false;
+      }
+      std::this_thread::yield();
+    }
+    return true;
+  }
+};
+
+TEST_P(NonBlocking, AntiDiagonalPairsOverlapOnTwoWorkers) {
+  // On a 4x4 wavefront, the two border cells of each anti-diagonal (d = 1..5)
+  // form a pair, and each waits until its partner has started. One pair is
+  // open at a time (each later pair's cells depend on the earlier pair's),
+  // so two workers always suffice — if every ready node can reach the other
+  // worker. A node whose release sat behind a blocking sync on the waiting
+  // worker never started, and the pair timed out.
+  auto rt = make_runtime();
+  Rendezvous rv;
+  for (int run = 0; run < 10 && !rv.timed_out.load(); ++run) {
+    std::atomic<bool> started[16] = {};
+    const auto partner = [](std::uint32_t i, std::uint32_t j) -> int {
+      const std::uint32_t d = i + j;
+      const std::uint32_t lo = d > 3 ? d - 3 : 0, hi = d < 3 ? d : 3;
+      if (lo == hi) return -1;  // the corners
+      if (i == lo) return static_cast<int>(hi * 4 + (d - hi));
+      if (i == hi) return static_cast<int>(lo * 4 + (d - lo));
+      return -1;  // inner cells
+    };
+    HookedGridSpec spec(4, [&](Key k) {
+      const std::uint32_t i = key_major(k), j = key_minor(k);
+      started[i * 4 + j].store(true);
+      const int p = partner(i, j);
+      if (p >= 0) rv.await([&] { return started[p].load(); });
+    });
+    api::Execution e = rt.run(spec, spec.sink());
+    ASSERT_FALSE(rv.timed_out.load())
+        << "run " << run << ": a pair never ran on both workers at once";
+    EXPECT_EQ(e.nodes_computed(), 16u);
+  }
+}
+
+TEST_P(NonBlocking, DeepChainCompletesOnDefaultStacks) {
+  // 200,000 nodes in a line: exploration and notification both follow the
+  // whole depth, which recursion would have to hold on a worker's stack.
+  class ChainSpec final : public GraphSpec {
+   public:
+    explicit ChainSpec(Key n) : n_(n) {}
+    TaskGraphNode* create(NodeArena& arena, Key) override {
+      return arena.create<Node>();
+    }
+    std::size_t expected_nodes() const override { return n_; }
+
+   private:
+    struct Node final : TaskGraphNode {
+      void init(ExecContext&) override {
+        if (key() > 0) add_predecessor(key() - 1);
+      }
+      void compute(ExecContext&) override {}
+    };
+    Key n_;
+  };
+  constexpr Key kNodes = 200'000;
+  auto rt = make_runtime();
+  ChainSpec spec(kNodes);
+  api::Execution e = rt.run(spec, kNodes - 1);
+  EXPECT_EQ(e.status().state, api::ExecStatus::kCompleted);
+  EXPECT_EQ(e.nodes_computed(), kNodes);
+  // A chain link's successor continues inline, so the chain publishes no
+  // frame: one frame per link would map ~11 MB of frame arena here.
+  EXPECT_LE(rt.arena_bytes(), std::size_t{4} << 16);
+}
+
+TEST_P(NonBlocking, WideWavefrontCompletesOnDefaultStacks) {
+  std::atomic<std::uint64_t> computes{0};
+  HookedGridSpec spec(300, [&](Key) { computes.fetch_add(1); });
+  auto rt = make_runtime();
+  api::Execution e = rt.run(spec, spec.sink());
+  EXPECT_EQ(e.status().state, api::ExecStatus::kCompleted);
+  EXPECT_EQ(e.nodes_computed(), 300u * 300u);
+  EXPECT_EQ(computes.load(), 300u * 300u);
+}
+
+TEST_P(NonBlocking, CancelAmidPublishedFramesRetiresEveryNode) {
+  // Node (5, 5) of a 12x12 wavefront cancels its own execution while the
+  // other worker runs whatever the wavefront published. Every created node
+  // retires (computed or skipped), nothing after (5, 5) computes, and the
+  // frame arenas stop growing once both workers have used them.
+  constexpr std::uint32_t kSide = 12;
+  auto rt = make_runtime();
+  std::atomic<bool> armed{false};
+  std::atomic<api::Execution*> target{nullptr};
+  std::atomic<std::uint64_t> after{0};
+  Rendezvous rv;
+  HookedGridSpec spec(kSide, [&](Key k) {
+    const std::uint32_t i = key_major(k), j = key_minor(k);
+    if (i == 5 && j == 5) {
+      if (armed.load() && rv.await([&] { return target.load() != nullptr; })) {
+        target.load()->cancel();
+      }
+    } else if (i >= 5 && j >= 5) {
+      after.fetch_add(1);
+    }
+  });
+  const auto cancelled_run = [&] {
+    target.store(nullptr);
+    after.store(0);
+    armed.store(true);
+    api::Execution e = rt.submit(spec, spec.sink());
+    target.store(&e);
+    e.wait();
+    ASSERT_FALSE(rv.timed_out.load());
+    const api::Status st = e.status();
+    EXPECT_EQ(st.state, api::ExecStatus::kCancelled);
+    EXPECT_EQ(e.nodes_computed() + st.skipped_nodes, e.nodes_created());
+    EXPECT_GE(e.nodes_computed(), 36u);  // (5, 5) and all its predecessors
+    // Its descendants: skipped if discovered before the cancel, never
+    // created otherwise — computed never.
+    EXPECT_EQ(after.load(), 0u);
+    EXPECT_FALSE(e.find(spec.sink())->computed());
+  };
+  // Ten runs first, so both workers have mapped the block their frames
+  // recycle through. Every run puts its predecessor items, ready arrays and
+  // frames in the arenas, so forty more cancelled runs that leaked them
+  // would map new blocks.
+  api::Execution full = rt.run(spec, spec.sink());
+  ASSERT_EQ(full.nodes_computed(), kSide * kSide);
+  for (int run = 0; run < 9; ++run) cancelled_run();
+  rt.wait_idle();
+  const std::size_t warm_bytes = rt.arena_bytes();
+  rt.reset_counters();
+  for (int run = 0; run < 40; ++run) cancelled_run();
+  rt.wait_idle();
+  EXPECT_GT(rt.counters().spawns, 0u) << "no frame was published";
+  EXPECT_LE(rt.arena_bytes(), warm_bytes)
+      << "cancelled runs leaked frame-arena blocks";
+}
+
+TEST_P(NonBlocking, BornExpiredDeadlineRetiresTheSinkAndNothingElse) {
+  // Expired at adoption: discovery stops at the sink, which retires as a
+  // skip; the runtime then runs the same graph in full, and the expired
+  // submissions leave the frame arenas where that full run left them.
+  std::atomic<std::uint64_t> computes{0};
+  HookedGridSpec spec(12, [&](Key) { computes.fetch_add(1); });
+  auto rt = make_runtime();
+  api::Execution full = rt.run(spec, spec.sink());
+  ASSERT_EQ(full.nodes_computed(), 144u);
+  rt.wait_idle();
+  const std::size_t warm_bytes = rt.arena_bytes();
+  computes.store(0);
+  for (int run = 0; run < 5; ++run) {
+    api::SubmitOptions so;
+    so.deadline_ns = 1;  // long past
+    api::Execution e = rt.run(spec, spec.sink(), so);
+    const api::Status st = e.status();
+    EXPECT_EQ(st.state, api::ExecStatus::kDeadlineExceeded);
+    EXPECT_EQ(e.nodes_created(), 1u);
+    EXPECT_EQ(st.skipped_nodes, 1u);
+    EXPECT_EQ(e.nodes_computed(), 0u);
+  }
+  EXPECT_EQ(computes.load(), 0u);
+  rt.wait_idle();
+  EXPECT_LE(rt.arena_bytes(), warm_bytes);
+  api::Execution again = rt.run(spec, spec.sink());
+  EXPECT_EQ(again.status().state, api::ExecStatus::kCompleted);
+  EXPECT_EQ(computes.load(), 144u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothVariants, NonBlocking,
+                         ::testing::Values(api::Variant::kNabbit,
+                                           api::Variant::kNabbitC),
+                         [](const auto& info) {
+                           return std::string(api::variant_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace nabbitc::nabbit
