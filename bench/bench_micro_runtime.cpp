@@ -10,8 +10,11 @@
 // them (see README "Performance").
 //
 // Usage (key=value args, NABBITC_* env overrides):
-//   bench_micro_runtime [preset=tiny|default] [out=BENCH_micro.json]
-//                       [repeats=N] [filter=substring]
+//   bench_micro_runtime [preset=tiny|overhead|default]
+//                       [out=BENCH_micro.json] [repeats=N] [filter=substring]
+// preset=overhead is tiny with a 448x448 dynamic-executor grid (~120 ms a
+// run), long enough that an A/B of two processes compares their means and
+// not scheduling noise (ci.sh's metrics-overhead step).
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -585,13 +588,14 @@ int main(int argc, char** argv) {
   std::uint32_t grid_side = 96;
   std::uint32_t dyn_workers = 2;
   std::uint64_t wave_spin_ns = 200'000;
-  if (preset == "tiny") {
+  if (preset == "tiny" || preset == "overhead") {
     wave_spin_ns = 50'000;
     p.target_seconds = 0.02;
     p.repeats = 2;
     p.map_keys = 1 << 14;
     grid_side = 32;
   }
+  if (preset == "overhead") grid_side = 448;
   p.repeats = static_cast<int>(cfg.get_int("repeats", p.repeats));
 
   struct Entry {

@@ -9,6 +9,9 @@
 //   * fresh_submit_ns / replay_submit_ns — one whole graph round trip
 //     (submit+wait) through each path, serialized, best repeat;
 //   * replay_speedup_x — fresh / replay;
+//   * tiered_replay_submit_ns — the same replay with replay tiering on
+//     (the other phases pin the scheduled tier): the wavefront's serial
+//     time beats a scheduler round trip, so it runs inline;
 //   * replay_exec_node_ns, inline_node_ns, replay_dispatch_x — the
 //     wavefront replay's per-node execution time, the per-node time of a
 //     tiny plan replayed inline (no scheduler), and their ratio: what the
@@ -212,9 +215,11 @@ int main(int argc, char** argv) {
   report("fresh_node_ns", fresh_s * 1e9 / static_cast<double>(rounds * nodes),
          "ns/node");
 
-  // --- serialized replay: compile once, resubmit the plan.
+  // --- serialized replay: compile once, resubmit the plan. Tiering is
+  // masked: every phase below measures the scheduled tier.
   auto plan = rt.compile(spec, nabbit::key_pack(side - 1, side - 1),
-                         /*reserve_instances=*/streams + 1);
+                         /*reserve_instances=*/streams + 1,
+                         plan::kPassAll & ~plan::kPassTinyLower);
   acc.store(0);
   rt.run(*plan);  // warm-up
   check(acc.load() == per_run, "replay diverged from fresh submission");
@@ -225,6 +230,18 @@ int main(int argc, char** argv) {
   report("replay_node_ns", replay_s * 1e9 / static_cast<double>(rounds * nodes),
          "ns/node");
   report("replay_speedup_x", fresh_s / replay_s, "x");
+
+  // --- the same wavefront with replay tiering on (default passes); the
+  // warm-up replays measure both tiers.
+  {
+    auto tiered = rt.compile(spec, nabbit::key_pack(side - 1, side - 1));
+    acc.store(0);
+    for (int i = 0; i < 2; ++i) rt.run(*tiered);
+    const double tiered_s =
+        best_seconds(repeats, rounds, [&] { rt.run(*tiered); });
+    check(acc.load() % per_run == 0, "tiered replays diverged");
+    report("tiered_replay_submit_ns", tiered_s * 1e9 / rounds, "ns/graph");
+  }
 
   // --- replay dispatch cost: what the scheduled replay pays per node beyond
   // the node itself. Every worker but one is held busy (the saturated-
@@ -240,6 +257,13 @@ int main(int argc, char** argv) {
     StreamSpec tspec(&*tacc, tiny_side, rt.workers());
     auto tplan = rt.compile(tspec, nabbit::key_pack(tiny_side - 1, tiny_side - 1));
     check(tplan->serial_lowered(), "tiny plan was not serial-lowered");
+    // Settle it on the inline tier while the workers are free to measure
+    // the scheduled one: each confirmed re-sample doubles the interval to
+    // the next, so below at most one replay in kTierMaxProbeInterval goes
+    // to the scheduler.
+    for (std::uint32_t i = 0; i < 4 * plan::kTierMaxProbeInterval; ++i) {
+      rt.run(*tplan);
+    }
     // Own cache lines: the holders poll `release` on every spin, and a node
     // counter sharing its line would bounce on every node.
     Padded<std::atomic<bool>> release;

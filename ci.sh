@@ -129,7 +129,7 @@ expected = [
     "sustained_submissions_per_sec", "sustained_node_ns", "plan_instances",
     "arena_bytes_after", "plan_nodes", "plan_fused_nodes",
     "pipeline_replay_submit_ns", "replay_exec_node_ns", "inline_node_ns",
-    "replay_dispatch_x",
+    "replay_dispatch_x", "tiered_replay_submit_ns",
 ]
 missing = [k for k in expected if k not in d["metrics"]]
 assert not missing, f"missing metrics: {missing}"
@@ -157,8 +157,16 @@ dispatch = m["replay_dispatch_x"]["value"]
 bound = 2.6 if len(os.sched_getaffinity(0)) > 1 else 1.4
 assert dispatch < bound, (
     f"replay dispatch {dispatch:.2f}x the inline per-node floor (gate: < {bound}x)")
+# Replay tiering acceptance: the same zero-work wavefront with tiering on
+# runs inline (its serial time is a fraction of a scheduler round trip), so
+# it must come in under the scheduled tier's round trip.
+tiered = m["tiered_replay_submit_ns"]["value"]
+sched = m["plan_replay_submit_ns"]["value"]
+assert tiered < sched, (
+    f"tiered replay {tiered:.0f} ns not under the scheduled replay {sched:.0f} ns")
 print(f"bench-throughput OK: {len(d['metrics'])} metrics, replay/fresh = {ratio:.2f}, "
-      f"fused {nodes:.0f} nodes -> {fused:.0f} units, dispatch = {dispatch:.2f}x")
+      f"fused {nodes:.0f} nodes -> {fused:.0f} units, dispatch = {dispatch:.2f}x, "
+      f"tiered/scheduled = {tiered / sched:.2f}")
 EOF
 else
   echo "bench-throughput smoke skipped (no Release build dir)"
@@ -353,21 +361,32 @@ echo "=== metrics-overhead: metrics-on within 8% of metrics-off ==="
 if [ -d "${BENCH_DIR}" ]; then
   # The always-on claim, A/B tested: the instrumented dynamic-executor
   # throughput with metrics recording enabled must stay within run noise of
-  # the same build with the NABBITC_METRICS=0 kill-switch.
-  "${BENCH_DIR}/bench_micro_runtime" preset=tiny repeats=3 filter=dynamic \
-    out="${BENCH_DIR}/BENCH_metrics_on.json"
-  NABBITC_METRICS=0 "${BENCH_DIR}/bench_micro_runtime" preset=tiny repeats=3 \
-    filter=dynamic out="${BENCH_DIR}/BENCH_metrics_off.json"
-  python3 - "${BENCH_DIR}/BENCH_metrics_on.json" "${BENCH_DIR}/BENCH_metrics_off.json" <<'EOF'
-import json, sys
+  # the same build with the NABBITC_METRICS=0 kill-switch. One process of
+  # the tiny preset's 1024-node grid read 476-1205 ns/node on a shared
+  # 4-vCPU host, so a single on/off pair measured noise. Instead: nine
+  # alternating pairs of preset=overhead (a 448x448 grid, ~120 ms a run),
+  # medians compared. With five pairs the medians still read 0.86-1.21 on
+  # that host (about one run in six failed); with nine, 0.95-1.11.
+  MO_PAIRS=9
+  for i in $(seq 1 "${MO_PAIRS}"); do
+    "${BENCH_DIR}/bench_micro_runtime" preset=overhead repeats=3 \
+      filter=dynamic_node out="${BENCH_DIR}/BENCH_metrics_on_${i}.json" > /dev/null
+    NABBITC_METRICS=0 "${BENCH_DIR}/bench_micro_runtime" preset=overhead \
+      repeats=3 filter=dynamic_node \
+      out="${BENCH_DIR}/BENCH_metrics_off_${i}.json" > /dev/null
+  done
+  python3 - "${BENCH_DIR}" "${MO_PAIRS}" <<'EOF'
+import json, statistics, sys
 def rate(path):
     with open(path) as f:
         return json.load(f)["metrics"]["dynamic_nodes_per_sec"]["value"]
-on, off = rate(sys.argv[1]), rate(sys.argv[2])
+d, n = sys.argv[1], int(sys.argv[2])
+on = statistics.median(rate(f"{d}/BENCH_metrics_on_{i}.json") for i in range(1, n + 1))
+off = statistics.median(rate(f"{d}/BENCH_metrics_off_{i}.json") for i in range(1, n + 1))
 ratio = on / off
 assert 0.92 <= ratio, \
-    f"metrics-on throughput {on:.0f} below 92% of metrics-off {off:.0f} (ratio {ratio:.3f})"
-print(f"metrics-overhead OK: on/off = {ratio:.3f}")
+    f"metrics-on median {on:.0f} below 92% of metrics-off median {off:.0f} (ratio {ratio:.3f})"
+print(f"metrics-overhead OK: median on/off = {ratio:.3f} over {n} pairs")
 EOF
 else
   echo "metrics-overhead skipped (no Release build dir)"
@@ -450,7 +469,8 @@ echo "=== ThreadSanitizer leg (race-prone subset) ==="
 # promotion (idle peers stealing private work, cancel/deadline through
 # promoted frames), the submit-side attribution probe's give-up, and the
 # dynamic executor's non-blocking joins (a rendezvous across workers, a deep
-# chain, cancel/deadline amid published frames).
+# chain, cancel/deadline amid published frames), and replay tiering (the
+# lock-free tier estimates under concurrent replays that change tier).
 # Benign-by-design races (the colored-steal peek) are suppressed in
 # tsan.supp, which documents each entry.
 TSAN_DIR="build-ci-tsan"
@@ -468,7 +488,7 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" \
 # suppressions (see tsan.supp) and would fail the leg spuriously.
 TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp halt_on_error=1 history_size=7" \
   ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 600 \
-  -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|NetPush|CompletionHook|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix|PlanPromotion|PromotingReplay|IdleSnapshot|SerializedSubmitRacingAStream|NonBlocking'
+  -R 'SubmissionControl|ConcurrentStealersEachTaskOnce|ConcurrentRootJobsShareThePool|ConcurrentStress|PlanConcurrent|OverlappingSubmissions|SubmitOptionsKeepSteadyState|FuzzDag8.*/[01]$|FuzzTiny8.*/[01]$|FuzzBatch8.*/[01]$|SubmitRing|BatchSubmission|SharedPlanCompiledOnceAcrossSessions|BatchSubmitDeliversPerItemResults|BatchAdmissionAdmitsPrefixAndReportsScope|NetDisconnect|NetShutdown|NetPush|CompletionHook|PersistConcurrent|ConcurrentRecordMergeMatchesSerial|MetricsAndSlowCaptureOverUnix|PlanPromotion|PromotingReplay|IdleSnapshot|SerializedSubmitRacingAStream|NonBlocking|PlanTier'
 echo "tsan leg OK"
 
 # AddressSanitizer and UndefinedBehaviorSanitizer: Debug builds of the

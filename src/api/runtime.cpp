@@ -429,12 +429,12 @@ Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) 
   st.job.lane = static_cast<std::uint8_t>(so.priority);
   st.job.deadline_ns = so.deadline_ns;
   st.job.on_complete = so.on_complete;
-  if (plan.serial_lowered()) {
-    // Tiny-graph lowering: the whole replay runs right here on the
-    // submitting thread — no scheduler round-trip, no worker wake, no
-    // futex. The handle comes back already done; wait() is then a single
-    // acquire load. Worker counters never move for an inline replay, so
-    // the window is filled batch-style (never attributable).
+  if (plan.take_inline_tier(*inst)) {
+    // Replay tiering picked the inline tier: the whole replay runs right
+    // here on the submitting thread — no scheduler round-trip, no worker
+    // wake, no futex. The handle comes back already done; wait() is then a
+    // single acquire load. Worker counters never move for an inline replay,
+    // so the window is filled batch-style (never attributable).
     st.attributable = false;
     st.finalized = false;
     st.reset_gen = &counter_reset_gen_;
@@ -445,6 +445,12 @@ Execution Runtime::submit(const plan::GraphPlan& plan, const SubmitOptions& so) 
     return Execution(&st);
   }
   arm_attribution_window(st, *sched_, counter_reset_gen_);
+  // A residency sample for the tiering choice only when a worker can take
+  // the replay at once: time spent queued behind other work would make the
+  // choice swing with load.
+  if ((plan.passes() & plan::kPassTinyLower) != 0 && sched_->any_worker_idle()) {
+    inst->sample_residency();
+  }
   sched_->submit(st.job);
   return Execution(&st);
 }

@@ -233,7 +233,10 @@ class Runtime {
   /// instead of re-creating nodes. Results are bitwise-identical to
   /// submit(plan.spec(), plan.sink()). Thread-safe; concurrent replays of
   /// one plan run on distinct instances. The plan must have been compiled
-  /// for this runtime's variant (Runtime::compile guarantees that).
+  /// for this runtime's variant (Runtime::compile guarantees that). With
+  /// plan::kPassTinyLower the replay may run inline on the calling thread,
+  /// whichever tier the plan measures faster (plan::GraphPlan::
+  /// take_inline_tier); the handle then comes back done().
   Execution submit(const plan::GraphPlan& plan);
 
   /// Plan replay with per-submission control. Steady-state replay stays

@@ -23,7 +23,7 @@
 //   * on_complete is an optional push notification: a function pointer
 //     plus a context, called exactly once when the execution reaches any
 //     terminal state, after done() turns true. It runs on the worker that
-//     finished the execution (or, for an inline tiny-plan replay, on the
+//     finished the execution (or, for an inline replay, on the
 //     submitting thread before submit() returns), so it must not block.
 //     The context must outlive the call — which comes AFTER done(), so
 //     waiting for done() alone does not license freeing it (see

@@ -25,6 +25,7 @@ struct NetMetrics {
   obs::Histogram* reply_ns;
   obs::Counter* bytes_in;
   obs::Counter* bytes_out;
+  obs::Counter* wakeups;  // session loop returns from poll()
 };
 
 NetMetrics& net_metrics() {
@@ -33,9 +34,16 @@ NetMetrics& net_metrics() {
       &obs::registry().histogram("net_reply_ns"),
       &obs::registry().counter("net_bytes_in_total"),
       &obs::registry().counter("net_bytes_out_total"),
+      &obs::registry().counter("net_session_wakeups_total"),
   };
   return m;
 }
+
+/// The session whose loop runs on this thread (set in Session::run). A
+/// completion hook that fires here — an inline replay inside
+/// handle_submit — need not wake the loop: the post-dispatch sweep
+/// delivers its RESULT.
+thread_local const Session* tls_session = nullptr;
 
 }  // namespace
 
@@ -57,6 +65,7 @@ void Session::join() {
 }
 
 void Session::run() {
+  tls_session = this;
   std::string err;
   bool disconnected = false;
   if (!set_nonblocking(fd_.get(), &err)) disconnected = true;
@@ -74,6 +83,7 @@ void Session::run() {
       disconnected = true;
       break;
     }
+    net_metrics().wakeups->inc();
     // Drain before the sweep below: a hook that fires after this drain
     // leaves its byte in the pipe, so the next poll cannot sleep through
     // its completion.
@@ -500,7 +510,7 @@ api::CompletionHook Session::arm_hooks(std::uint32_t n) noexcept {
 
 void Session::on_exec_complete(void* ctx) noexcept {
   auto* self = static_cast<Session*>(ctx);
-  self->wake_.notify();
+  if (tls_session != self) self->wake_.notify();
   // The hook's last access to the session: once the count can read zero,
   // the epilogue may finish and the session may be destroyed.
   self->hooks_armed_.fetch_sub(1, std::memory_order_release);

@@ -4,7 +4,9 @@
 // The session loop sleeps in poll() on two fds and no timer: the socket
 // (requests: read -> frame reassembly -> dispatch) and its own wake pipe.
 // Every execution it submits carries a completion hook
-// (api::SubmitOptions::on_complete) that writes the wake pipe, and
+// (api::SubmitOptions::on_complete) that writes the wake pipe — unless it
+// fires on the session thread itself (a replay that ran inline inside
+// handle_submit), whose RESULT the post-dispatch sweep delivers — and
 // Server::stop() writes it too. Each wakeup sweeps the in-flight table for
 // executions that reached a terminal state and pushes a RESULT frame for
 // each, so a RESULT leaves as soon as its execution ends. All Execution
@@ -101,7 +103,8 @@ class Session {
   /// Counts `n` armed completion hooks and returns the hook to put in
   /// each of their SubmitOptions.
   api::CompletionHook arm_hooks(std::uint32_t n) noexcept;
-  /// The completion hook: wakes the loop, then disarms (last access).
+  /// The completion hook: wakes the loop (from any thread but the
+  /// session's own), then disarms (last access).
   static void on_exec_complete(void* ctx) noexcept;
 
   bool send(FrameType type, const WireWriter& body) noexcept;

@@ -111,7 +111,8 @@ static_assert(std::is_trivially_copyable_v<PlanBlobHeader>);
 
 inline constexpr std::uint32_t kPlanBlobFlagColored = 1u << 0;
 inline constexpr std::uint32_t kPlanBlobFlagCountLocality = 1u << 1;
-/// The plan replays inline, never promoting work (tiny-graph lowering).
+/// The replay-tiering prior: the plan starts inline and never promotes
+/// work (tiny-graph lowering). The tier measurements are not stored.
 inline constexpr std::uint32_t kPlanBlobFlagSerialLowered = 1u << 2;
 inline constexpr std::uint32_t kPlanBlobKnownFlags =
     kPlanBlobFlagColored | kPlanBlobFlagCountLocality |

@@ -31,6 +31,11 @@ PlanInstance::PlanInstance(const GraphPlan& plan)
     run_root(w);
     state_.t_done_ns = now_ns();
     api::record_completion(state_, plan_->bound_metrics());
+    if (sample_residency_ && skipped_.load(std::memory_order_relaxed) == 0) {
+      plan_->record_tier_sample(false, state_.t_done_ns - state_.t_submit_ns,
+                                work_ns_.load(std::memory_order_relaxed),
+                                unit_max_ns_.load(std::memory_order_relaxed));
+    }
   };
 }
 
@@ -76,10 +81,15 @@ bool PlanInstance::try_build() {
       if (got[j] != f.keys[want[j]]) return false;
     }
   }
+  size_units(f.fused_n);
+  return true;
+}
+
+void PlanInstance::size_units(std::uint32_t fused_n) {
   // Join counters are per fused UNIT (the dispatch granularity), not per
   // node — chain fusion is precisely the removal of intra-chain joins.
-  join_ = std::make_unique<std::atomic<std::int32_t>[]>(f.fused_n);
-  return true;
+  join_ = std::make_unique<std::atomic<std::int32_t>[]>(fused_n);
+  ready_ = std::make_unique<std::uint32_t[]>(fused_n);
 }
 
 void PlanInstance::reset_for_replay() noexcept {
@@ -102,6 +112,9 @@ void PlanInstance::reset_for_replay() noexcept {
   state_.attributable = false;
   state_.t_submit_ns = 0;
   state_.t_done_ns = 0;
+  sample_residency_ = false;
+  work_ns_.store(0, std::memory_order_relaxed);
+  unit_max_ns_.store(0, std::memory_order_relaxed);
 }
 
 TaskGraphNode* PlanInstance::find(Key key) const {
@@ -569,8 +582,9 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   f.instance_slab_bytes = proto->slab_.bytes_allocated();
   f.fused_n = fused_n;
   f.passes = passes;
-  // Pass 3 — tiny-graph lowering: plans this small replay inline on the
-  // submitting thread (see PlanInstance::run_inline), never promoting work.
+  // Pass 3 — tiny-graph lowering: the replay-tiering prior. Plans this
+  // small start inline on the submitting thread (GraphPlan::take_inline_tier)
+  // and never promote work.
   f.serial_lower = (passes & kPassTinyLower) != 0 && n < kTinyGraphMaxNodes;
   f.unit_off = s.unit_off;
   f.unit_nodes = s.unit_nodes;
@@ -582,7 +596,7 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   f.backing = std::move(st);
   plan->f_ = std::move(f);
 
-  proto->join_ = std::make_unique<std::atomic<std::int32_t>[]>(fused_n);
+  proto->size_units(fused_n);
   plan->adopt_prototype(std::move(proto), opts.reserve_instances);
   return plan;
 }
@@ -750,9 +764,8 @@ bool validate_frozen(const FrozenPlan& f) {
     for (std::uint64_t u = 0; u < fn; ++u) {
       if (cursor[u] != f.unit_succ_off[u + 1]) return false;
     }
-    // Serial lowering is only legal for tiny plans (an inline replay's
-    // fixed-size ready stack cannot spill); refuse an artifact claiming
-    // otherwise.
+    // The tiering prior is what compile() derives: never set at or above
+    // the tiny-graph bound. Refuse an artifact claiming otherwise.
     if (f.serial_lower && n >= kTinyGraphMaxNodes) return false;
   }
 

@@ -30,6 +30,11 @@
 // run from a worker-private stack and become stealable only when a worker
 // is idle (lazy promotion, see replay.cpp).
 //
+// A singleton replay runs on one of two tiers: inline on the submitting
+// thread, or through the scheduler. The plan measures both and runs inline
+// only when that takes under half the scheduled time (see
+// GraphPlan::take_inline_tier).
+//
 // Contracts:
 //   * the GraphSpec must describe the same graph on every call (same
 //     predecessors, same colors) — instance construction re-derives the
@@ -41,6 +46,10 @@
 //   * concurrent replays of one plan get distinct instances (distinct node
 //     objects); nodes writing to shared external buffers must be prepared
 //     for that, exactly as with concurrent spec submissions.
+//   * a replay may run inline on the submitting thread, one node at a time
+//     (kPassTinyLower): a plan whose nodes wait on each other — a node that
+//     can only finish once another node of the same replay runs — must be
+//     compiled with kPassTinyLower masked, at any size.
 #pragma once
 
 #include <atomic>
@@ -80,17 +89,31 @@ inline constexpr std::uint32_t kPassChainFusion = 1u << 0;
 /// broken by color, then discovery order) so a unit's successors share
 /// cache lines at notify time. The sink stays index 0 regardless.
 inline constexpr std::uint32_t kPassLevelOrder = 1u << 1;
-/// Tiny-graph lowering: plans with fewer than kTinyGraphMaxNodes nodes
-/// replay inline on the submitting thread, through the same unit loop as
-/// every replay but with no promotion and no scheduler round trip.
+/// Replay tiering: a singleton submit() may replay the plan inline on the
+/// submitting thread, through the same unit loop as every replay but with
+/// no promotion and no scheduler round trip. Whether it does is measured
+/// per plan: the inline tier runs when its mean serial time is under half
+/// the scheduled tier's mean residency, i.e. when scheduling overhead would
+/// be most of the replay (see GraphPlan::take_inline_tier). Until both are
+/// measured, plans with fewer than kTinyGraphMaxNodes nodes start inline
+/// and larger ones start on the scheduler. Masking this pass pins every
+/// replay to the scheduler, which a plan whose nodes wait on each other
+/// needs.
 inline constexpr std::uint32_t kPassTinyLower = 1u << 2;
 inline constexpr std::uint32_t kPassAll =
     kPassChainFusion | kPassLevelOrder | kPassTinyLower;
 
-/// Node-count bound under which kPassTinyLower marks a plan for serial
-/// replay. Also the hard cap validate_frozen enforces on serial-lowered
-/// artifacts (an inline replay has no worker to spill its ready stack to).
+/// Node-count bound of the tiering prior: kPassTinyLower plans below it
+/// start inline (serial_lowered()) and never promote work when they run on
+/// a worker.
 inline constexpr std::uint32_t kTinyGraphMaxNodes = 32;
+
+/// Replay tiering's re-sample schedule: the losing tier is tried again
+/// after kTierFirstProbeInterval replays of a plan instance, the interval
+/// doubling each time the sample confirms the choice, up to
+/// kTierMaxProbeInterval (see CHANGES.md for the measurements).
+inline constexpr std::uint32_t kTierFirstProbeInterval = 16;
+inline constexpr std::uint32_t kTierMaxProbeInterval = 1024;
 
 struct CompileOptions {
   /// NabbitC semantics: color-grouped morphing-continuation spawns with
@@ -141,7 +164,7 @@ struct FrozenPlan {
   // the dependence asserts.
   std::uint32_t fused_n = 0;                     // units; 1 <= fused_n <= n
   std::uint32_t passes = 0;                      // kPass* mask applied
-  bool serial_lower = false;                     // tiny-graph serial replay
+  bool serial_lower = false;                     // tiering prior: inline
   std::span<const std::uint32_t> unit_off;       // CSR rows into unit_nodes,
   std::span<const std::uint32_t> unit_nodes;     //   size fused_n+1 / n
   std::span<const std::int32_t> unit_join;       // cross-unit in-edge counts
@@ -199,11 +222,16 @@ class PlanInstance final : public nabbit::NodeLookup {
   /// handle once the replay has completed and the handle is released.
   void recycle() noexcept;
 
-  /// Complete inline submission of a serial-lowered plan: runs the whole
-  /// replay on the calling thread and marks the embedded job done — the
-  /// scheduler is never involved. Called by Runtime::submit after state
-  /// setup; the caller must not have published the job anywhere.
+  /// Complete inline submission: runs the whole replay on the calling
+  /// thread and marks the embedded job done — the scheduler is never
+  /// involved. Called by Runtime::submit after state setup; the caller must
+  /// not have published the job anywhere. Feeds the plan's inline estimate.
   void run_inline();
+  /// Makes this (scheduled) replay's residency and node work a sample of
+  /// the plan's scheduled estimates. Runtime::submit calls it for singleton
+  /// replays submitted while some worker was idle, so queueing behind other
+  /// work stays out of the estimate.
+  void sample_residency() noexcept { sample_residency_ = true; }
 
  private:
   friend class GraphPlan;
@@ -225,6 +253,8 @@ class PlanInstance final : public nabbit::NodeLookup {
   /// frozen arrays came from a different graph (a stale artifact, rejected
   /// cleanly).
   bool try_build();
+  /// Sizes the per-unit arrays (join counters, inline ready buffer).
+  void size_units(std::uint32_t fused_n);
   /// Rearms join counters, statuses, and counters for the next replay.
   void reset_for_replay() noexcept;
 
@@ -232,7 +262,8 @@ class PlanInstance final : public nabbit::NodeLookup {
   void run_root(rt::Worker& w);
   /// The replay loop: runs seeds[0, n) and every unit they make ready from
   /// a private stack, then waits for what it promoted. `w` is null only for
-  /// an inline serial-lowered replay (no promotion, no locality counting).
+  /// an inline replay (no promotion, no locality counting), which stacks
+  /// ready units in ready_ instead.
   void run_units(rt::Worker* w, const std::uint32_t* seeds, std::size_t n);
   /// Moves half of stack[0, top) — other colors first under NabbitC — into
   /// one frame spawned on `g`, compacting the rest in place.
@@ -246,9 +277,19 @@ class PlanInstance final : public nabbit::NodeLookup {
   nabbit::NodeSlab slab_;                    // node payload storage
   std::vector<TaskGraphNode*> nodes_;        // plan index -> payload slot
   std::unique_ptr<std::atomic<std::int32_t>[]> join_;
+  /// Inline replay's ready stack: one slot per unit, so it never spills.
+  std::unique_ptr<std::uint32_t[]> ready_;
   std::atomic<std::uint64_t> computed_{0};
   std::atomic<std::uint64_t> skipped_{0};
+  /// Summed and longest compute time of this replay's units, taken only
+  /// while sample_residency_ (two clock reads per unit).
+  std::atomic<std::uint64_t> work_ns_{0};
+  std::atomic<std::uint64_t> unit_max_ns_{0};
   bool fresh_ = true;
+  bool sample_residency_ = false;
+  /// Replays of this instance left until its next re-sample of the losing
+  /// tier; the first is its second replay (GraphPlan::take_inline_tier).
+  std::uint32_t tier_countdown_ = 2;
   api::detail::ExecutionState state_;
   PlanInstance* pool_next_ = nullptr;  // freelist link, under the plan's lock
 };
@@ -273,9 +314,39 @@ class GraphPlan {
   std::uint32_t num_fused_nodes() const noexcept { return f_.fused_n; }
   /// kPass* mask the compiler actually applied to this plan.
   std::uint32_t passes() const noexcept { return f_.passes; }
-  /// True when replays never promote work (tiny-graph lowering): singleton
-  /// submissions then complete inline on the submitting thread.
+  /// The compile-time tiering prior (kPassTinyLower and fewer than
+  /// kTinyGraphMaxNodes nodes): singleton submissions start inline, and
+  /// replays never promote work.
   bool serial_lowered() const noexcept { return f_.serial_lower; }
+
+  /// Replay tiering, one call per singleton submit() of `inst` (acquired
+  /// by the caller): true when this replay should run inline on the caller.
+  /// Never for a plan compiled without kPassTinyLower. Otherwise inline iff
+  /// 2 * inline_estimate_ns() < scheduled_estimate_ns() (the
+  /// serial_lowered() prior while either is unmeasured), except that every
+  /// so often (kTierFirstProbeInterval replays of the instance, doubling)
+  /// it returns the losing tier so it gets re-measured. The inline tier is
+  /// re-measured only while a scheduled replay's summed unit work
+  /// (scheduled_work_ns()) is under its residency and its longest unit
+  /// under half of it: a longer unit rules inline out, and more work would
+  /// block the caller longer than the scheduled replay takes. Lock-free.
+  bool take_inline_tier(PlanInstance& inst) const noexcept;
+  /// Serial time of an inline replay, ns; 0 = not measured. A running
+  /// mean while inline wins, the latest re-sample while it loses.
+  std::uint64_t inline_estimate_ns() const noexcept {
+    return tier_.inline_ns.load(std::memory_order_relaxed);
+  }
+  /// Residency of a scheduled replay submitted while some worker was idle,
+  /// ns; 0 = not measured. Kept like inline_estimate_ns(). Runtime state: a
+  /// restored plan measures afresh.
+  std::uint64_t scheduled_estimate_ns() const noexcept {
+    return tier_.scheduled_ns.load(std::memory_order_relaxed);
+  }
+  /// Summed unit compute time of those scheduled replays, ns (about what a
+  /// serial run takes); 0 = not measured. Kept like inline_estimate_ns().
+  std::uint64_t scheduled_work_ns() const noexcept {
+    return tier_.scheduled_work_ns.load(std::memory_order_relaxed);
+  }
   Key sink() const noexcept { return sink_; }
   bool colored() const noexcept { return opts_.colored; }
   bool count_locality() const noexcept { return opts_.count_locality; }
@@ -357,6 +428,14 @@ class GraphPlan {
 
   /// Builds and registers a new instance (pool miss / pre-reserve path).
   PlanInstance* build_instance() const;
+  /// The tier the estimates favour (the prior while either is unmeasured).
+  bool inline_wins() const noexcept;
+  /// Folds one completed, uncancelled replay's submit-to-complete span
+  /// into the inline or the scheduled estimate, and a scheduled replay's
+  /// summed and longest unit time into theirs (PlanInstance calls it).
+  void record_tier_sample(bool inline_tier, std::uint64_t ns,
+                          std::uint64_t work_ns,
+                          std::uint64_t unit_max_ns) const noexcept;
 
   /// Adopts a built prototype as instance #0 (tail of compile/restore).
   void adopt_prototype(std::unique_ptr<PlanInstance> proto,
@@ -380,6 +459,19 @@ class GraphPlan {
   mutable std::vector<std::unique_ptr<PlanInstance>> owned_;
   mutable std::atomic<std::uint64_t> instances_built_{0};
   mutable std::atomic<obs::Histogram*> metrics_hist_{nullptr};
+
+  // Replay tiering (relaxed: hints, a lost update only delays a switch).
+  // Read on every singleton submit and written only by samples, on a cache
+  // line of its own so the pool lock and the metrics pointer do not share
+  // it.
+  struct alignas(64) TierState {
+    std::atomic<std::uint64_t> inline_ns{0};
+    std::atomic<std::uint64_t> scheduled_ns{0};
+    std::atomic<std::uint64_t> scheduled_work_ns{0};
+    std::atomic<std::uint64_t> scheduled_unit_max_ns{0};
+    std::atomic<std::uint32_t> probe_every{kTierFirstProbeInterval};
+  };
+  mutable TierState tier_;
 };
 
 /// Lowers (spec, sink) into an immutable GraphPlan: discovers the graph by

@@ -23,8 +23,23 @@
 //
 // Those frames are all that is ever stealable; each run_units ends with one
 // group.wait for what it promoted, and only promotion touches the arena.
-// Tiny serial-lowered plans run the same loop without promotion, inline on
-// the submitting thread (w == nullptr) or on a worker that adopted them.
+// An inline replay runs the same loop on the submitting thread (w ==
+// nullptr), without promotion, stacking ready units in a buffer the
+// instance sizes to the plan, so it never spills. Serial-lowered plans
+// (the tiny-graph prior) never promote on a worker either.
+//
+// Replay tiering (GraphPlan::take_inline_tier) picks the inline or the
+// scheduled tier per singleton submission by measurement, in the manner of
+// Acar, Charguéraud & Rainey's oracle scheduling (OOPSLA'11): both tiers'
+// submit-to-complete spans are measured, and a replay runs inline only when
+// its serial time is under half its scheduled residency (scheduling
+// overhead would be most of it), the losing tier being re-sampled at
+// doubling intervals. A scheduled sample also times its units: the inline
+// tier is re-sampled only while their summed time is under the residency
+// and the longest under half of it (see GraphPlan::take_inline_tier), so a
+// work-heavy plan never blocks its caller for a serial probe.
+#include <algorithm>
+
 #include "api/metrics.h"
 #include "nabbit/spawn_halved.h"
 #include "nabbitc/spawn_colors.h"
@@ -36,14 +51,94 @@ namespace nabbitc::plan {
 
 namespace {
 
-/// Private ready-stack capacity. Wider ready sets spill half the stack
-/// into a stealable frame; serial-lowered plans (whose inline path has no
-/// worker to spill through) always fit.
+/// Private ready-stack capacity on a worker. Wider ready sets spill half
+/// the stack into a stealable frame.
 constexpr std::uint32_t kStackCap = 64;
-static_assert(kStackCap >= kTinyGraphMaxNodes,
-              "a serial-lowered replay must never spill");
+
+/// The winning tier's estimate is a running mean with weight
+/// 1/2^kTierEwmaShift for the newest sample.
+constexpr unsigned kTierEwmaShift = 3;
+
+/// Folds `sample` into `est`: a running mean when `mean`, else a
+/// replacement. A sample within 1/2^kTierEwmaShift of the mean is dropped
+/// (it would move the mean by under 1/64), so steady replays of a shared
+/// plan do not keep writing the line every submitter reads. Returns
+/// whether it stored.
+bool fold_sample(std::atomic<std::uint64_t>& est, std::uint64_t sample,
+                 bool mean) noexcept {
+  const std::uint64_t old = est.load(std::memory_order_relaxed);
+  std::uint64_t next = sample != 0 ? sample : 1;
+  if (mean && old != 0) {
+    const auto delta = static_cast<std::int64_t>(next - old);
+    const std::uint64_t dist = delta < 0 ? 0 - static_cast<std::uint64_t>(delta)
+                                         : static_cast<std::uint64_t>(delta);
+    if (dist < (old >> kTierEwmaShift)) return false;
+    next = old + static_cast<std::uint64_t>(delta >> kTierEwmaShift);
+  }
+  est.store(next, std::memory_order_relaxed);
+  return true;
+}
 
 }  // namespace
+
+bool GraphPlan::inline_wins() const noexcept {
+  const std::uint64_t w = tier_.inline_ns.load(std::memory_order_relaxed);
+  const std::uint64_t r = tier_.scheduled_ns.load(std::memory_order_relaxed);
+  return w != 0 && r != 0 ? 2 * w < r : f_.serial_lower;
+}
+
+bool GraphPlan::take_inline_tier(PlanInstance& inst) const noexcept {
+  if ((f_.passes & kPassTinyLower) == 0) return false;
+  const bool prefer = inline_wins();
+  // The caller owns `inst`, so the re-sample schedule costs no shared write.
+  if (--inst.tier_countdown_ != 0) return prefer;
+  inst.tier_countdown_ = tier_.probe_every.load(std::memory_order_relaxed);
+  if (prefer) return false;
+  // Re-sample the inline tier only if it can win and the sample cannot cost
+  // much: a serial run takes at least the longest unit, so inline loses
+  // once that is half the residency (a long chain, fused into one unit);
+  // and it takes about the summed unit work, so with that under the
+  // residency the probe blocks its caller no longer than the scheduled
+  // replay it replaces would have taken (a parallel plan with enough work
+  // never probes).
+  const std::uint64_t r = tier_.scheduled_ns.load(std::memory_order_relaxed);
+  const std::uint64_t work =
+      tier_.scheduled_work_ns.load(std::memory_order_relaxed);
+  const std::uint64_t longest =
+      tier_.scheduled_unit_max_ns.load(std::memory_order_relaxed);
+  return r != 0 && work != 0 && work < r && 2 * longest < r;
+}
+
+void GraphPlan::record_tier_sample(
+    bool inline_tier, std::uint64_t ns, std::uint64_t work_ns,
+    std::uint64_t unit_max_ns) const noexcept {
+  const bool before = inline_wins();
+  // The winning tier is sampled on every replay and keeps a running mean.
+  // A re-sample of the losing tier replaces its estimate: such samples are
+  // too far apart for a mean to track anything, and one preempted sample
+  // averaged in would keep the plan off that tier for many re-samples.
+  const bool mean = inline_tier == before;
+  if (inline_tier) {
+    if (!fold_sample(tier_.inline_ns, ns, mean)) return;
+  } else {
+    fold_sample(tier_.scheduled_work_ns, work_ns, mean);
+    fold_sample(tier_.scheduled_unit_max_ns, unit_max_ns, mean);
+    if (!fold_sample(tier_.scheduled_ns, ns, mean)) return;
+  }
+  const bool after = inline_wins();
+  std::atomic<std::uint32_t>& every = tier_.probe_every;
+  if (after != before) {
+    if (every.load(std::memory_order_relaxed) != kTierFirstProbeInterval) {
+      every.store(kTierFirstProbeInterval, std::memory_order_relaxed);
+    }
+  } else if (inline_tier != after) {
+    // A sample of the losing tier that left it losing: re-sample it half as
+    // often, so a plan that clearly belongs on one tier stops paying probes.
+    const std::uint32_t e = every.load(std::memory_order_relaxed);
+    every.store(std::min(e * 2, kTierMaxProbeInterval),
+                std::memory_order_relaxed);
+  }
+}
 
 void PlanInstance::run_root(rt::Worker& w) {
   const FrozenPlan& f = plan_->frozen();
@@ -65,10 +160,13 @@ void PlanInstance::run_units(rt::Worker* w, const std::uint32_t* seeds,
   const bool may_promote =
       w != nullptr && !f.serial_lower && w->scheduler().num_workers() > 1;
   rt::TaskGroup group;
-  std::uint32_t stack[kStackCap];
+  // A worker stacks on its own C++ stack and spills when full; an inline
+  // replay (no worker to spill through) stacks in ready_, one slot per unit.
+  std::uint32_t local[kStackCap];
+  std::uint32_t* const stack = w != nullptr ? local : ready_.get();
   std::uint32_t top = 0;
   const auto push = [&](std::uint32_t u) {
-    if (top == kStackCap) promote(*w, group, stack, top);
+    if (w != nullptr && top == kStackCap) promote(*w, group, stack, top);
     stack[top++] = u;
   };
   for (std::size_t i = 0; i < n; ++i) push(seeds[i]);
@@ -76,12 +174,21 @@ void PlanInstance::run_units(rt::Worker* w, const std::uint32_t* seeds,
   // run_units instead of one per unit on a line every worker writes.
   std::uint64_t computed = 0;
   std::uint64_t retired = 0;
+  const bool stamp = w != nullptr && sample_residency_;
+  std::uint64_t work = 0;
+  std::uint64_t longest = 0;
   while (top != 0) {
     if (may_promote && top >= 2 && w->peers_idle() && w->deque().empty()) {
       promote(*w, group, stack, top);
     }
     const std::uint32_t u = stack[--top];
+    const std::uint64_t t0 = stamp ? now_ns() : 0;
     computed += execute_unit(w, u);
+    if (stamp) {
+      const std::uint64_t t = now_ns() - t0;
+      work += t;
+      longest = std::max(longest, t);
+    }
     retired += f.unit_off[u + 1] - f.unit_off[u];
     // The CSR row replaces the successor list — every dependent is known up
     // front, so the last-arriving predecessor (the fetch_sub observing 1)
@@ -95,6 +202,14 @@ void PlanInstance::run_units(rt::Worker* w, const std::uint32_t* seeds,
   if (computed != 0) computed_.fetch_add(computed, std::memory_order_relaxed);
   if (retired != computed) {
     skipped_.fetch_add(retired - computed, std::memory_order_relaxed);
+  }
+  if (work != 0) {
+    work_ns_.fetch_add(work, std::memory_order_relaxed);
+    std::uint64_t seen = unit_max_ns_.load(std::memory_order_relaxed);
+    while (longest > seen &&
+           !unit_max_ns_.compare_exchange_weak(seen, longest,
+                                               std::memory_order_relaxed)) {
+    }
   }
   if (w != nullptr) group.wait(*w);
 }
@@ -186,7 +301,7 @@ std::uint32_t PlanInstance::execute_unit(rt::Worker* w, std::uint32_t unit) {
 }
 
 void PlanInstance::run_inline() {
-  // Serial-lowered submission on the submitting thread: mirror the fields
+  // Inline submission on the submitting thread: mirror the fields
   // submit_batch() would have reset, run the replay loop, then complete the
   // job. Nobody can observe the handle before the caller's submit()
   // returns, so plain stores + one release on `done` suffice (and no waiter
@@ -212,6 +327,10 @@ void PlanInstance::run_inline() {
       "serial plan replay did not retire every node");
   state_.t_done_ns = now_ns();
   api::record_completion(state_, plan_->bound_metrics());
+  if (skipped_.load(std::memory_order_relaxed) == 0) {
+    plan_->record_tier_sample(true, state_.t_done_ns - state_.t_submit_ns, 0,
+                              0);
+  }
   job.done.store(true, std::memory_order_release);
   // Same order as Scheduler::finish_root: `done` first, then the hook.
   job.on_complete.fire();

@@ -19,6 +19,11 @@
 // reach (the since-closed ROADMAP item). reset() remains the cheap
 // everything-at-once rewind for the quiescent moment.
 //
+// A request larger than one block gets a dedicated block of its own size,
+// which is stamped, recycled and reused like any other: a later oversized
+// request takes the tightest free block that fits, and ordinary requests
+// prefer ordinary blocks, so dedicated ones stay free for their next use.
+//
 // The watermark ("every job with epoch <= E finished") is conservative: one
 // long-running submission defers reclamation of every younger job's frames
 // until it completes, so memory during such a stall is bounded by the
@@ -27,6 +32,7 @@
 // deferred reclamation forever.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -36,7 +42,6 @@
 #include <vector>
 
 #include "support/align.h"
-#include "support/check.h"
 
 namespace nabbitc::rt {
 
@@ -48,12 +53,12 @@ class JobArena {
   JobArena& operator=(const JobArena&) = delete;
 
   /// Allocates raw storage; never freed individually. Stamps the current
-  /// block with the arena's frame epoch (see set_epoch).
+  /// block with the arena's frame epoch (see set_epoch). Requests larger
+  /// than a block get a dedicated block (see the file comment).
   void* allocate(std::size_t bytes, std::size_t align = alignof(std::max_align_t)) {
-    NABBITC_CHECK_MSG(bytes <= block_bytes_, "allocation larger than arena block");
     std::size_t off = round_up(offset_, align);
-    if (current_ == nullptr || off + bytes > block_bytes_) {
-      advance_block();
+    if (current_ == nullptr || off + bytes > current_bytes_) {
+      advance_block(bytes);
       off = 0;
     }
     Block& b = blocks_[live_.back()];
@@ -104,6 +109,7 @@ class JobArena {
     }
     live_.clear();
     current_ = nullptr;
+    current_bytes_ = 0;
     offset_ = 0;
   }
 
@@ -118,11 +124,13 @@ class JobArena {
  private:
   struct Block {
     std::unique_ptr<std::byte[]> mem;
+    std::size_t bytes = 0;
     /// Max frame epoch that allocated into this block; 0 = untouched.
     std::uint64_t stamp = 0;
   };
 
-  void advance_block() {
+  /// Opens a block with room for `need` bytes.
+  void advance_block(std::size_t need) {
     // First recycle: any opened block whose every allocating job has
     // finished (stamp <= watermark) is garbage, including a full current
     // block. This is the step that bounds memory under continuous overlap.
@@ -140,13 +148,27 @@ class JobArena {
       }
       live_.resize(keep);
     }
+    // The tightest free block that fits; every block fits an ordinary
+    // request, so the scan only runs past the back for oversized ones or
+    // when a dedicated block sits at the back.
+    std::size_t pick = free_.size();
+    for (std::size_t i = free_.size(); i-- > 0;) {
+      const std::size_t b = blocks_[free_[i]].bytes;
+      if (b >= need && (pick == free_.size() || b < blocks_[free_[pick]].bytes)) {
+        pick = i;
+        if (b == std::max(need, block_bytes_)) break;
+      }
+    }
     std::uint32_t idx;
-    if (!free_.empty()) {
-      idx = free_.back();
+    if (pick != free_.size()) {
+      idx = free_[pick];
+      free_[pick] = free_.back();
       free_.pop_back();
     } else {
-      blocks_.push_back(Block{std::make_unique<std::byte[]>(block_bytes_), 0});
-      bytes_held_.store(blocks_.size() * block_bytes_, std::memory_order_relaxed);
+      const std::size_t bytes = std::max(need, block_bytes_);
+      blocks_.push_back(Block{std::make_unique<std::byte[]>(bytes), bytes, 0});
+      held_ += bytes;
+      bytes_held_.store(held_, std::memory_order_relaxed);
       idx = static_cast<std::uint32_t>(blocks_.size() - 1);
       // Keep the index lists' capacity >= block count so the hot-path moves
       // between live_ and free_ never heap-allocate.
@@ -155,6 +177,7 @@ class JobArena {
     }
     live_.push_back(idx);
     current_ = blocks_[idx].mem.get();
+    current_bytes_ = blocks_[idx].bytes;
     offset_ = 0;
   }
 
@@ -163,7 +186,9 @@ class JobArena {
   std::vector<std::uint32_t> live_;    // opened blocks, in open order; back() is current
   std::vector<std::uint32_t> free_;    // recyclable blocks
   std::byte* current_ = nullptr;
+  std::size_t current_bytes_ = 0;  // size of the current block
   std::size_t offset_ = 0;
+  std::size_t held_ = 0;           // sum of block sizes (owner's copy)
   std::uint64_t epoch_ = 0;
   const std::atomic<std::uint64_t>* completed_upto_ = nullptr;
   std::atomic<std::size_t> bytes_held_{0};

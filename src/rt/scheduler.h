@@ -448,6 +448,12 @@ class Scheduler {
   /// The worker owned by the calling thread, or nullptr off the pool.
   static Worker* current() noexcept;
 
+  /// True iff some worker is idle (parked or out of work) right now. A
+  /// relaxed hint, like Worker::peers_idle.
+  bool any_worker_idle() const noexcept {
+    return idle_workers_->load(std::memory_order_relaxed) != 0;
+  }
+
   /// True while any submitted job has not completed.
   bool job_active() const noexcept {
     return active_jobs_.load(std::memory_order_acquire) > 0;

@@ -578,7 +578,9 @@ TEST(SubmissionControl, PastDeadlineReplaySkipsEveryNodeAndReportsDeadline) {
     }
   } spec(&acc);
 
-  auto plan = rt.compile(spec, key_pack(5, 5));
+  // Scheduler path only (tiering masked): expiry is checked at adoption.
+  auto plan = rt.compile(spec, key_pack(5, 5), /*reserve_instances=*/1,
+                         plan::kPassAll & ~plan::kPassTinyLower);
   SubmitOptions so;
   so.deadline_ns = 1;  // long past: expires at adoption, deterministically
   Execution e = rt.run(*plan, so);
@@ -929,10 +931,13 @@ struct HookCount {
 
 TEST(CompletionHook, InlineReplayFiresBeforeSubmitReturns) {
   auto rt = two_worker_runtime();
-  constexpr std::uint32_t kSide = 4;  // 16 nodes: lowered, runs inline
+  constexpr std::uint32_t kSide = 4;  // 16 nodes: lowered, starts inline
   std::atomic<std::uint64_t> acc{0};
   CountGridSpec spec(&acc, kSide);
+  // The first replay of a plan follows the tiering prior, so each fresh
+  // serial-lowered plan's first submit runs inline.
   auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1));
+  auto expiring = rt.compile(spec, key_pack(kSide - 1, kSide - 1));
   ASSERT_TRUE(plan->serial_lowered());
 
   HookCount ok, expired;
@@ -945,7 +950,8 @@ TEST(CompletionHook, InlineReplayFiresBeforeSubmitReturns) {
 
   so.on_complete = expired.arm();
   so.deadline_ns = 1;  // born expired
-  Execution d = rt.submit(*plan, so);
+  Execution d = rt.submit(*expiring, so);
+  EXPECT_TRUE(d.done());
   EXPECT_EQ(expired.fired.load(), 1);
   EXPECT_EQ(d.status().state, ExecStatus::kDeadlineExceeded);
   EXPECT_EQ(ok.fired.load(), 1);
@@ -967,7 +973,9 @@ TEST(CompletionHook, FiresOncePerSubmissionOnEveryPathAndTerminalState) {
   const Key sink = key_pack(kSide - 1, kSide - 1);
   {
     auto rt = one_worker_runtime();
-    auto plan = rt.compile(spec, sink, /*reserve_instances=*/12);
+    // Every plan submission must queue behind the blocker: tiering masked.
+    auto plan = rt.compile(spec, sink, /*reserve_instances=*/12,
+                           plan::kPassAll & ~plan::kPassTinyLower);
     ASSERT_FALSE(plan->serial_lowered());
     std::atomic<bool> started{false}, release{false};
     BlockChainSpec blocker(&started, &release, 2);

@@ -1437,6 +1437,50 @@ TEST(NetPush, SessionTeardownStress) {
   server.stop();
 }
 
+TEST(NetPush, InlineCompletionsDoNotWakeTheirOwnSession) {
+  // A plan replayed inline completes inside handle_submit, on the session
+  // thread: its hook must not write the session's wake pipe (the post-
+  // dispatch sweep already sends its RESULT), or every request costs a
+  // second poll() return just to drain the pipe. One wakeup per SUBMIT
+  // frame, plus at most one per replay the tiering sends to the scheduler
+  // instead (replay 1 and the re-samples; more if the inline tier loses
+  // for a while, as under a sanitizer), counted by the scheduler's
+  // dispatch histogram.
+  const std::string path = unique_sock_path("inlinewake");
+  Server server(test_opts(path));
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  Client c;
+  ASSERT_TRUE(c.connect_unix(path)) << c.last_error();
+  const WireGraph g = make_wavefront_wire_graph(4, 0x21);  // 16 nodes
+  const auto reg = c.register_graph(g);
+  ASSERT_TRUE(reg) << c.last_error();
+  ASSERT_TRUE(server.debug_plan(reg->handle)->serial_lowered());
+  const std::uint64_t expect_sink = expected_sink_value(g);
+
+  constexpr std::uint64_t kSubmits = 100;
+  obs::Counter& wakeups = obs::registry().counter("net_session_wakeups_total");
+  obs::Histogram& dispatched = obs::registry().histogram("sched_dispatch_ns");
+  const std::uint64_t before = wakeups.value();
+  const std::uint64_t dispatched_before = dispatched.snapshot().count();
+  for (std::uint64_t payload = 0; payload < kSubmits; ++payload) {
+    const auto sub = c.submit(reg->handle, payload, api::Priority::kNormal);
+    ASSERT_TRUE(sub && sub->accepted) << c.last_error();
+    const auto res = c.wait_result(sub->exec_id, kPushTimeoutMs);
+    ASSERT_TRUE(res) << c.last_error();
+    EXPECT_EQ(res->result, wire_result(expect_sink, payload));
+  }
+  const std::uint64_t spent = wakeups.value() - before;
+  const std::uint64_t scheduled = dispatched.snapshot().count() - dispatched_before;
+  // Without the fix every request costs two wakeups, so the bound below
+  // fails as soon as one replay ran inline; replay 0 does (the prior).
+  ASSERT_LT(scheduled, kSubmits);
+  EXPECT_GE(spent, kSubmits);
+  EXPECT_LE(spent, kSubmits + scheduled)
+      << "inline completions woke their own session";
+  server.stop();
+}
+
 // ------------------------------------------------------- plan persistence
 
 std::string make_cache_dir() {

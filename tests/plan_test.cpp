@@ -20,6 +20,7 @@
 
 #include "api/nabbitc.h"
 #include "counting_alloc.h"
+#include "persist/plan_blob.h"
 #include "support/rng.h"
 #include "support/spin.h"
 #include "support/timing.h"
@@ -430,7 +431,9 @@ TEST_P(PlanVariant, SerializedReplayCountersAreAttributable) {
   auto rt = make_runtime(GetParam());
   WaveGrid g(12, 9);
   WaveSpec spec(&g);
-  auto plan = rt.compile(spec, key_pack(11, 11));
+  // Worker counters only move on the scheduled tier.
+  auto plan = rt.compile(spec, key_pack(11, 11), /*reserve_instances=*/1,
+                         plan::kPassAll & ~plan::kPassTinyLower);
   Execution e = rt.run(*plan);
   EXPECT_TRUE(e.counters_attributable());
   const rt::WorkerCounters& c = e.counters();
@@ -663,19 +666,257 @@ INSTANTIATE_TEST_SUITE_P(BothVariants, PlanPromotion,
                            return std::string(variant_name(info.param));
                          });
 
+// ------------------------------------------------------------ replay tiering
+//
+// A singleton submit() runs the plan inline on the caller when the inline
+// tier's measured serial time is under half the scheduled tier's measured
+// residency (kPassTinyLower). Replay 0 follows the serial_lowered() prior,
+// replay 1 samples the other tier — the inline one only while the
+// scheduled replays' node work is under half their residency — and the
+// losing tier is re-sampled kTierFirstProbeInterval replays later (then at
+// doubling intervals).
+// Whether a replay ran scheduled shows in its adoption stamp, which an
+// inline replay never gets.
+
+bool ran_scheduled(const Execution& e) { return e.first_dispatch_time_ns() != 0; }
+
+/// Spin-for-a-while fan: `leaves` independent nodes feed the sink (key 0);
+/// every node spins `ctx.spin_ns` (read at compute time) and adds its key+1.
+struct SpinFanCtx {
+  std::uint32_t leaves = 0;
+  std::atomic<std::uint64_t> spin_ns{0};
+  std::atomic<std::uint64_t> acc{0};
+  std::uint64_t expected_total() const {
+    return std::uint64_t{leaves + 1} * (leaves + 2) / 2;
+  }
+};
+
+struct SpinFanNode final : TaskGraphNode {
+  SpinFanCtx* ctx;
+  explicit SpinFanNode(SpinFanCtx* c) : ctx(c) {}
+  void init(ExecContext&) override {
+    if (key() != 0) return;
+    for (Key k = 1; k <= ctx->leaves; ++k) add_predecessor(k);
+  }
+  void compute(ExecContext&) override {
+    const std::uint64_t spin = ctx->spin_ns.load(std::memory_order_relaxed);
+    if (spin != 0) {
+      const std::uint64_t until = now_ns() + spin;
+      while (now_ns() < until) {
+      }
+    }
+    ctx->acc.fetch_add(key() + 1, std::memory_order_relaxed);
+  }
+};
+
+struct SpinFanSpec final : GraphSpec {
+  SpinFanCtx* ctx;
+  explicit SpinFanSpec(SpinFanCtx* c) : ctx(c) {}
+  TaskGraphNode* create(NodeArena& arena, Key) override {
+    return arena.create<SpinFanNode>(ctx);
+  }
+  Color color_of(Key k) const override { return static_cast<Color>(k % 2); }
+  std::size_t expected_nodes() const override { return ctx->leaves + 1; }
+};
+
+class PlanTier : public ::testing::TestWithParam<Variant> {};
+
+TEST_P(PlanTier, SettledWavefrontRunsInline) {
+  // A zero-work 256-node wavefront: far above the tiny-graph prior, but its
+  // serial time is a fraction of a scheduler round trip, so once both tiers
+  // are measured it comes back done() from submit — allocation-free, and
+  // bitwise equal to the serial computation.
+  auto rt = make_runtime(GetParam());
+  constexpr std::uint32_t kSide = 16;
+  WaveGrid g(kSide, 21);
+  WaveSpec spec(&g);
+  auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1));
+  ASSERT_FALSE(plan->serial_lowered());
+  const std::uint64_t expected = WaveGrid::expected_checksum(kSide, 21);
+
+  for (int i = 0; i < 2; ++i) {  // replays 0 and 1: one sample per tier
+    g.clear();
+    Execution e = rt.run(*plan);
+    EXPECT_EQ(ran_scheduled(e), i == 0)
+        << "replay " << i << ": work " << plan->scheduled_work_ns()
+        << " ns, scheduled " << plan->scheduled_estimate_ns() << " ns";
+    EXPECT_EQ(g.checksum(), expected);
+  }
+  EXPECT_NE(plan->inline_estimate_ns(), 0u);
+  EXPECT_NE(plan->scheduled_estimate_ns(), 0u);
+
+  constexpr int kReplays = 32;
+  int inline_runs = 0;
+  std::uint64_t inline_allocs = 0;
+  for (int i = 0; i < kReplays; ++i) {
+    g.clear();
+    counting_alloc::begin();
+    bool ran_inline;
+    {
+      Execution e = rt.submit(*plan);
+      const bool done_on_return = e.done();
+      e.wait();  // a scheduled replay may be done() on return too
+      ran_inline = !ran_scheduled(e);
+      EXPECT_TRUE(done_on_return || !ran_inline) << "replay " << i + 2;
+    }
+    const std::uint64_t allocs = counting_alloc::end();
+    if (ran_inline) {
+      ++inline_runs;
+      inline_allocs += allocs;
+    }
+    EXPECT_EQ(g.checksum(), expected) << "replay " << i + 2;
+  }
+  // Replays 2..33 hold one scheduled re-sample (replay 17). On a loaded
+  // host a preempted inline sample can push the mean past R/2, and the plan
+  // then stays scheduled until the next re-sample, up to 16 replays later.
+  EXPECT_GE(inline_runs, kReplays / 2)
+      << "inline " << plan->inline_estimate_ns() << " ns, scheduled "
+      << plan->scheduled_estimate_ns() << " ns";
+  EXPECT_EQ(inline_allocs, 0u) << "inline replay heap-allocated";
+}
+
+TEST_P(PlanTier, HeavyParallelPlanStaysScheduled) {
+  // 32 independent 2 ms leaves: 64 ms of node work, about half that on the
+  // two workers. Replay 0 runs scheduled (33 nodes: the prior) and measures
+  // that work. A serial run takes at least the work, which is more than
+  // half any residency, so it cannot win: no replay is serialized, not even
+  // as a re-sample, and the inline tier is never measured.
+  auto rt = make_runtime(GetParam());
+  SpinFanCtx ctx;
+  ctx.leaves = 32;
+  ctx.spin_ns = 2'000'000;
+  SpinFanSpec spec(&ctx);
+  auto plan = rt.compile(spec, 0);
+  ASSERT_FALSE(plan->serial_lowered());
+  constexpr std::uint32_t kReplays = 2 * plan::kTierFirstProbeInterval + 2;
+  for (std::uint32_t i = 0; i < kReplays; ++i) {
+    Execution e = rt.run(*plan);
+    EXPECT_TRUE(ran_scheduled(e))
+        << "replay " << i << " ran inline: work " << plan->scheduled_work_ns()
+        << " ns, scheduled " << plan->scheduled_estimate_ns() << " ns";
+    EXPECT_EQ(e.nodes_computed(), 33u);
+  }
+  EXPECT_EQ(plan->inline_estimate_ns(), 0u);
+  EXPECT_GE(plan->scheduled_work_ns(), std::uint64_t{32} * 2'000'000);
+  EXPECT_EQ(ctx.acc.load(), ctx.expected_total() * kReplays);
+}
+
+TEST_P(PlanTier, MaskedLoweringNeverRunsInline) {
+  auto rt = make_runtime(GetParam());
+  constexpr std::uint32_t kSide = 4;  // 16 nodes: inline by the prior
+  WaveGrid g(kSide, 5);
+  WaveSpec spec(&g);
+  auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1),
+                         /*reserve_instances=*/1,
+                         plan::kPassAll & ~plan::kPassTinyLower);
+  ASSERT_FALSE(plan->serial_lowered());
+  for (std::uint32_t i = 0; i < 2 * plan::kTierFirstProbeInterval; ++i) {
+    g.clear();
+    Execution e = rt.run(*plan);
+    EXPECT_TRUE(ran_scheduled(e)) << "replay " << i << " ran inline";
+    EXPECT_EQ(g.checksum(), WaveGrid::expected_checksum(kSide, 5));
+  }
+  EXPECT_EQ(plan->inline_estimate_ns(), 0u);
+  EXPECT_EQ(plan->scheduled_estimate_ns(), 0u);
+}
+
+TEST_P(PlanTier, ConcurrentReplaysAcrossTierChanges) {
+  // Four threads replay one plan through three phases: zero-work nodes
+  // (inline wins), 20 us nodes (64 of them: the two workers win), zero work
+  // again. Every replay must be exact whichever tier ran it, the pool must
+  // refill and the arenas stay bounded.
+  auto rt = make_runtime(GetParam());
+  SpinFanCtx ctx;
+  ctx.leaves = 63;
+  SpinFanSpec spec(&ctx);
+  auto plan = rt.compile(spec, 0, /*reserve_instances=*/4);
+  constexpr int kThreads = 4;
+  constexpr int kPerPhase = 40;
+  std::atomic<int> wrong{0}, scheduled{0}, inlined{0};
+  for (const std::uint64_t spin : {0ull, 20'000ull, 0ull}) {
+    ctx.spin_ns.store(spin);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int r = 0; r < kPerPhase; ++r) {
+          Execution e = rt.run(*plan);
+          if (e.nodes_computed() != 64u) wrong.fetch_add(1);
+          (ran_scheduled(e) ? scheduled : inlined).fetch_add(1);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(ctx.acc.load(), ctx.expected_total() * 3 * kThreads * kPerPhase);
+  EXPECT_GT(scheduled.load(), 0);
+  EXPECT_GT(inlined.load(), 0);
+  rt.wait_idle();
+  EXPECT_EQ(plan->instances_free(), plan->instances_built());
+  EXPECT_LE(plan->instances_built(), static_cast<std::size_t>(kThreads));
+  // Two workers, 64 KiB frame blocks, recycled per finished job: a leak
+  // would grow with the 480 replays.
+  EXPECT_LE(rt.arena_bytes(), std::size_t{1} << 20);
+}
+
+TEST_P(PlanTier, BlobRoundTripMeasuresAgain) {
+  // The tier is runtime state: a restored plan keeps the compile-time prior
+  // but none of the measurements, and measures afresh.
+  auto rt = make_runtime(GetParam());
+  constexpr std::uint32_t kSide = 4;
+  WaveGrid g(kSide, 8);
+  WaveSpec spec(&g);
+  auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1));
+  for (int i = 0; i < 3; ++i) rt.run(*plan);
+  ASSERT_NE(plan->inline_estimate_ns(), 0u);
+  ASSERT_NE(plan->scheduled_estimate_ns(), 0u);
+
+  const auto blob = persist::serialize_plan(*plan, /*spec_bytes=*/{},
+                                            /*spec_hash=*/7);
+  auto backing = std::make_shared<std::vector<std::uint8_t>>(blob);
+  persist::PlanBlobView view;
+  ASSERT_EQ(view.parse({backing->data(), backing->size()}),
+            persist::BlobError::kOk);
+  auto restored = rt.restore_plan(spec, key_pack(kSide - 1, kSide - 1),
+                                  view.frozen(backing), view.colored(),
+                                  view.count_locality());
+  ASSERT_NE(restored, nullptr);
+  EXPECT_TRUE(restored->serial_lowered());
+  EXPECT_EQ(restored->inline_estimate_ns(), 0u);
+  EXPECT_EQ(restored->scheduled_estimate_ns(), 0u);
+  for (int i = 0; i < 2; ++i) {
+    g.clear();
+    Execution e = rt.run(*restored);
+    EXPECT_EQ(ran_scheduled(e), i == 1) << "restored replay " << i;
+    EXPECT_EQ(g.checksum(), WaveGrid::expected_checksum(kSide, 8));
+  }
+  EXPECT_NE(restored->inline_estimate_ns(), 0u);
+  EXPECT_NE(restored->scheduled_estimate_ns(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothVariants, PlanTier,
+                         ::testing::Values(Variant::kNabbit, Variant::kNabbitC),
+                         [](const auto& info) {
+                           return std::string(variant_name(info.param));
+                         });
+
 // ------------------------------------------------------------- allocations
 
 TEST(PlanAlloc, SteadyStateReplayIsAllocationFree) {
   // THE acceptance property of the replay path: once the instance pool and
   // the workers' frame arenas are warm, a replay submission performs zero
   // heap allocations end to end — acquire+reset, scheduler injection, the
-  // whole CSR walk, and handle release all reuse pooled storage.
+  // whole CSR walk, and handle release all reuse pooled storage. This is
+  // the scheduled tier (tiering masked); PlanTier.SettledWavefrontRunsInline
+  // checks the inline tier.
   for (Variant v : {Variant::kNabbit, Variant::kNabbitC}) {
     auto rt = make_runtime(v);
     constexpr std::uint32_t kSide = 20;
     std::atomic<std::uint64_t> acc{0};
     AccumSpec spec(&acc, kSide);
-    auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1));
+    auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1),
+                           /*reserve_instances=*/1,
+                           plan::kPassAll & ~plan::kPassTinyLower);
 
     // Warm up: arenas reach their high-watermark, the pool its depth.
     for (int i = 0; i < 12; ++i) rt.run(*plan);
@@ -726,7 +967,10 @@ TEST(PlanAlloc, SubmitOptionsKeepSteadyStateAllocationFree) {
   constexpr std::uint32_t kSide = 16;
   std::atomic<std::uint64_t> acc{0};
   AccumSpec spec(&acc, kSide);
-  auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1));
+  // The priority lanes and adoption-time deadline are the scheduled tier's.
+  auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1),
+                         /*reserve_instances=*/1,
+                         plan::kPassAll & ~plan::kPassTinyLower);
 
   SubmitOptions hot;
   hot.priority = Priority::kHigh;
@@ -787,8 +1031,9 @@ TEST(PlanArena, NeverQuiescentSubmissionChainHoldsArenaBytesBounded) {
   constexpr std::uint32_t kSide = 12;
   std::atomic<std::uint64_t> acc{0};
   AccumSpec accum_spec(&acc, kSide);
+  // Overlap needs scheduled replays: tiering masked.
   auto plan = rt.compile(accum_spec, key_pack(kSide - 1, kSide - 1),
-                         /*reserve=*/2);
+                         /*reserve=*/2, plan::kPassAll & ~plan::kPassTinyLower);
 
   constexpr int kJobs = 300;
   constexpr int kWarmJob = 60;
@@ -897,7 +1142,9 @@ TEST(PlanArena, ContinuousOverlappingReplayHoldsArenaBytesBounded) {
   constexpr std::uint32_t kSide = 20;
   std::atomic<std::uint64_t> acc{0};
   AccumSpec spec(&acc, kSide);
-  auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1), /*reserve=*/2);
+  // Overlap needs scheduled replays: tiering masked.
+  auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1), /*reserve=*/2,
+                         plan::kPassAll & ~plan::kPassTinyLower);
 
   auto overlap_rounds = [&](int rounds, Execution prev) {
     for (int i = 0; i < rounds; ++i) {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -117,9 +118,27 @@ TEST(Arena, ResetReusesBlocks) {
   EXPECT_EQ(a.blocks_allocated(), blocks);  // no new blocks needed
 }
 
-TEST(ArenaDeath, OversizedAllocationAborts) {
-  JobArena a(128);
-  EXPECT_DEATH(a.allocate(4096), "larger than arena block");
+TEST(Arena, OversizedAllocationGetsARecycledDedicatedBlock) {
+  // A request one byte over the block size used to abort the process; it
+  // gets a block of its own, stamped and recycled like the others.
+  std::atomic<std::uint64_t> completed{0};
+  JobArena a(256);
+  a.bind_reclaim(&completed);
+  // Each epoch: one block + 1 byte, then ordinary frames over two blocks.
+  const auto run_epoch = [&](std::uint64_t e) {
+    a.set_epoch(e);
+    auto* big = static_cast<unsigned char*>(a.allocate(257));
+    std::memset(big, static_cast<int>(e), 257);
+    for (int i = 0; i < 40; ++i) a.create<std::uint64_t>(e);
+    EXPECT_EQ(big[256], static_cast<unsigned char>(e));
+    completed.store(e);  // the epoch's job finished: its blocks are garbage
+  };
+  run_epoch(1);
+  run_epoch(2);
+  const std::size_t held = a.bytes_held();
+  EXPECT_GE(held, 257u + 2 * 256u);
+  for (std::uint64_t e = 3; e < 23; ++e) run_epoch(e);
+  EXPECT_EQ(a.bytes_held(), held) << "the dedicated block was not reused";
 }
 
 TEST(Arena, EpochSegmentsRecycleWhenTheirJobsFinish) {
