@@ -469,8 +469,9 @@ echo "=== ThreadSanitizer leg (race-prone subset) ==="
 # promotion (idle peers stealing private work, cancel/deadline through
 # promoted frames), the submit-side attribution probe's give-up, and the
 # dynamic executor's non-blocking joins (a rendezvous across workers, a deep
-# chain, cancel/deadline amid published frames), and replay tiering (the
-# lock-free tier estimates under concurrent replays that change tier).
+# chain, cancel/deadline amid published frames), replay tiering (the
+# lock-free tier estimates under concurrent replays that change tier), and
+# the inline replay's unit order under each pass mask (two seeds).
 # Benign-by-design races (the colored-steal peek) are suppressed in
 # tsan.supp, which documents each entry.
 TSAN_DIR="build-ci-tsan"

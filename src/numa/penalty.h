@@ -2,9 +2,8 @@
 //
 // On the paper's machine remote DRAM accesses cost ~2x local ones. Without
 // NUMA hardware we (a) account remote node executions exactly as the paper's
-// SectionV-B metric, and (b) optionally model their cost: the simulator
-// multiplies a node's work by `remote_factor`, and the real runtime can
-// inject a proportional delay so locality effects are visible on UMA hosts.
+// SectionV-B metric, and (b) model their cost in the simulator, which
+// multiplies a node's work by `remote_factor`.
 #pragma once
 
 #include <cstdint>

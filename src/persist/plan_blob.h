@@ -41,13 +41,17 @@
 
 namespace nabbitc::persist {
 
-/// Bumped on ANY change to the header or section layout. Old blobs are
-/// refused (kBadVersion) and recompiled — there is no migration, because
-/// the cache can always be rebuilt from specs.
+/// Bumped on ANY change to the header or section layout, or to what the
+/// sections promise. Old blobs are refused (kBadVersion) and recompiled —
+/// there is no migration: the cache can always be rebuilt from specs.
 /// v2: fused-unit schedule (chain fusion / level order / tiny lowering) —
 /// seven unit sections + four header counts; v1 blobs predate the
 /// optimization passes and are rejected.
-inline constexpr std::uint32_t kPlanBlobVersion = 2;
+/// v3: same layout; units are numbered in a topological order (the
+/// FrozenPlan invariant inline replay relies on), which a v2 blob compiled
+/// without its level-order pass does not guarantee; that pass is gone and
+/// tiny lowering moved to bit 1.
+inline constexpr std::uint32_t kPlanBlobVersion = 3;
 
 /// Written as a native u32; reads back byte-swapped on a foreign-endian
 /// machine, which is the detection.

@@ -81,31 +81,11 @@ bool PlanInstance::try_build() {
       if (got[j] != f.keys[want[j]]) return false;
     }
   }
-  size_units(f.fused_n);
+  join_ = std::make_unique<std::atomic<std::int32_t>[]>(f.fused_n);
   return true;
 }
 
-void PlanInstance::size_units(std::uint32_t fused_n) {
-  // Join counters are per fused UNIT (the dispatch granularity), not per
-  // node — chain fusion is precisely the removal of intra-chain joins.
-  join_ = std::make_unique<std::atomic<std::int32_t>[]>(fused_n);
-  ready_ = std::make_unique<std::uint32_t[]>(fused_n);
-}
-
 void PlanInstance::reset_for_replay() noexcept {
-  // Also the recovery path after a cancelled replay: a partially-executed
-  // run leaves a mix of kComputed and kVisited statuses and fully drained
-  // join counters (the skip cascade retires every node), so rearming
-  // joins + statuses + counts below restores the instance completely.
-  const FrozenPlan& f = plan_->f_;
-  const std::uint32_t n = f.n;
-  for (std::uint32_t u = 0; u < f.fused_n; ++u) {
-    join_[u].store(f.unit_join[u], std::memory_order_relaxed);
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    nodes_[i]->status_.store(nabbit::NodeStatus::kVisited,
-                             std::memory_order_relaxed);
-  }
   computed_.store(0, std::memory_order_relaxed);
   skipped_.store(0, std::memory_order_relaxed);
   state_.finalized = false;
@@ -115,6 +95,23 @@ void PlanInstance::reset_for_replay() noexcept {
   sample_residency_ = false;
   work_ns_.store(0, std::memory_order_relaxed);
   unit_max_ns_.store(0, std::memory_order_relaxed);
+}
+
+void PlanInstance::rearm() noexcept {
+  // Also the recovery path after a cancelled replay, whose skip cascade
+  // spends every join counter. Statuses need no rearm: the replay writes
+  // each (computed or skipped) before anything reads it...
+  const FrozenPlan& f = plan_->f_;
+  for (std::uint32_t u = 0; u < f.fused_n; ++u) {
+    join_[u].store(f.unit_join[u], std::memory_order_relaxed);
+  }
+#ifndef NDEBUG
+  // ...except execute_unit's dependence check, within this replay.
+  for (std::uint32_t i = 0; i < f.n; ++i) {
+    nodes_[i]->status_.store(nabbit::NodeStatus::kVisited,
+                             std::memory_order_relaxed);
+  }
+#endif
 }
 
 TaskGraphNode* PlanInstance::find(Key key) const {
@@ -336,7 +333,7 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   }
 
   // --- freeze topology into CSR arrays + per-node colors (discovery index
-  // space; the optimization passes below may renumber everything).
+  // space; the layout below renumbers everything).
   const auto n = static_cast<std::uint32_t>(nodes.size());
   auto st = std::make_shared<OwnedStorage>();
   OwnedStorage& s = *st;
@@ -373,7 +370,7 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   };
 
   // Topological levels (Kahn over the frozen CSR): level[v] = longest root
-  // path, the layout pass's primary sort key.
+  // path, the layout's primary sort key.
   std::vector<std::uint32_t> level(n, 0);
   {
     std::vector<std::int32_t> pending(s.initial_join.begin(),
@@ -404,7 +401,7 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
       }
     }
   }
-  std::vector<std::uint32_t> heads;  // unit entry nodes, discovery order
+  std::vector<std::uint32_t> heads;  // unit entry nodes
   heads.reserve(n);
   for (std::uint32_t v = 0; v < n; ++v) {
     if (!interior[v]) heads.push_back(v);
@@ -418,90 +415,65 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
     return GraphPlan::kInvalidIndex;
   };
 
-  // Pass 2 — level-ordered layout. Order units level-major (entry node's
-  // level, then color, then discovery order) and renumber nodes by (unit
-  // rank, position in chain) so notify-time successor scans touch
-  // neighbouring cache lines. The sink keeps index 0 (persisted invariant:
-  // keys[0] == sink_key). With the pass off, discovery order stands.
-  std::vector<std::uint32_t> unit_order(fused_n);
-  for (std::uint32_t i = 0; i < fused_n; ++i) unit_order[i] = i;
+  // Layout (not a pass: every plan needs it). Units go level-major (entry
+  // node's level, then color, then discovery order): an edge enters a unit
+  // only at its head, from a lower level, so the order is topological (the
+  // FrozenPlan invariant). Nodes are renumbered by (unit rank, position in
+  // chain), so an instance built in index order lays its payload slots out
+  // in inline-visit order. The sink keeps index 0 (keys[0] == sink_key).
+  std::sort(heads.begin(), heads.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (level[a] != level[b]) return level[a] < level[b];
+    if (s.colors[a] != s.colors[b]) return s.colors[a] < s.colors[b];
+    return a < b;
+  });
   std::vector<std::uint32_t> new_of(n);
-  for (std::uint32_t v = 0; v < n; ++v) new_of[v] = v;
-  if ((passes & kPassLevelOrder) != 0) {
-    std::stable_sort(unit_order.begin(), unit_order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       const std::uint32_t ha = heads[a], hb = heads[b];
-                       if (level[ha] != level[hb]) return level[ha] < level[hb];
-                       if (s.colors[ha] != s.colors[hb]) {
-                         return s.colors[ha] < s.colors[hb];
-                       }
-                       return ha < hb;
-                     });
-    std::uint32_t next = 1;
-    for (std::uint32_t r = 0; r < fused_n; ++r) {
-      for (std::uint32_t v = heads[unit_order[r]];
-           v != GraphPlan::kInvalidIndex; v = chain_next(v)) {
-        new_of[v] = (v == 0) ? 0 : next++;
-      }
-    }
-  }
-
-  // Unit membership in the final index space, one CSR row per unit in final
-  // unit order (chain members stay in execution order).
   s.unit_off.assign(fused_n + 1, 0);
   s.unit_nodes.reserve(n);
-  for (std::uint32_t r = 0; r < fused_n; ++r) {
-    for (std::uint32_t v = heads[unit_order[r]]; v != GraphPlan::kInvalidIndex;
+  std::uint32_t next = 1;
+  for (std::uint32_t u = 0; u < fused_n; ++u) {
+    for (std::uint32_t v = heads[u]; v != GraphPlan::kInvalidIndex;
          v = chain_next(v)) {
-      s.unit_nodes.push_back(new_of[v]);
+      new_of[v] = (v == 0) ? 0 : next++;
+      s.unit_nodes.push_back(new_of[v]);  // chain members in execution order
     }
-    s.unit_off[r + 1] = static_cast<std::uint32_t>(s.unit_nodes.size());
+    s.unit_off[u + 1] = static_cast<std::uint32_t>(s.unit_nodes.size());
   }
   NABBITC_CHECK_MSG(s.unit_nodes.size() == n, "fusion lost nodes");
 
   // Apply the permutation to every node-space array (and the prototype's
   // payload slots); successor rows are re-derived transpose-style in the
   // new order.
-  if ((passes & kPassLevelOrder) != 0) {
-    OwnedStorage t;
-    t.keys.resize(n);
-    t.colors.resize(n);
-    t.data_colors.resize(n);
-    t.initial_join.resize(n);
-    t.pred_off.assign(n + 1, 0);
-    std::vector<TaskGraphNode*> perm_nodes(n);
+  const auto permute = [&](auto& a) {
+    auto b = a;
+    for (std::uint32_t v = 0; v < n; ++v) b[new_of[v]] = a[v];
+    a = std::move(b);
+  };
+  permute(s.keys);
+  permute(s.colors);
+  permute(s.data_colors);
+  permute(s.initial_join);
+  permute(nodes);
+  {
+    std::vector<std::uint32_t> off(n + 1, 0);
+    std::vector<std::uint32_t> idx(s.pred_idx.size());
+    for (std::uint32_t v = 0; v < n; ++v) off[new_of[v] + 1] = pred_cnt(v);
+    for (std::uint32_t i = 0; i < n; ++i) off[i + 1] += off[i];
     for (std::uint32_t v = 0; v < n; ++v) {
-      const std::uint32_t nv = new_of[v];
-      t.keys[nv] = s.keys[v];
-      t.colors[nv] = s.colors[v];
-      t.data_colors[nv] = s.data_colors[v];
-      t.initial_join[nv] = s.initial_join[v];
-      t.pred_off[nv + 1] = pred_cnt(v);
-      perm_nodes[nv] = nodes[v];
-    }
-    for (std::uint32_t i = 0; i < n; ++i) t.pred_off[i + 1] += t.pred_off[i];
-    t.pred_idx.resize(s.pred_idx.size());
-    for (std::uint32_t v = 0; v < n; ++v) {
-      std::uint32_t o = t.pred_off[new_of[v]];
+      std::uint32_t o = off[new_of[v]];
       // Predecessor declaration order is preserved (try_build compares it
       // against the spec's answers slot by slot).
       for (std::uint32_t e = s.pred_off[v]; e < s.pred_off[v + 1]; ++e) {
-        t.pred_idx[o++] = new_of[s.pred_idx[e]];
+        idx[o++] = new_of[s.pred_idx[e]];
       }
     }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (t.pred_off[i + 1] == t.pred_off[i]) t.roots.push_back(i);
-    }
-    s.keys = std::move(t.keys);
-    s.colors = std::move(t.colors);
-    s.data_colors = std::move(t.data_colors);
-    s.initial_join = std::move(t.initial_join);
-    s.pred_off = std::move(t.pred_off);
-    s.pred_idx = std::move(t.pred_idx);
-    s.roots = std::move(t.roots);
-    build_successor_csr(s, n);
-    nodes = std::move(perm_nodes);
+    s.pred_off = std::move(off);
+    s.pred_idx = std::move(idx);
   }
+  s.roots.clear();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (s.initial_join[i] == 0) s.roots.push_back(i);
+  }
+  build_successor_csr(s, n);
 
   // Cross-unit schedule: per-unit join counts (with edge multiplicity) and
   // the unit-level successor transpose, in the canonical emission order
@@ -582,7 +554,7 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   f.instance_slab_bytes = proto->slab_.bytes_allocated();
   f.fused_n = fused_n;
   f.passes = passes;
-  // Pass 3 — tiny-graph lowering: the replay-tiering prior. Plans this
+  // Pass 2 — tiny-graph lowering: the replay-tiering prior. Plans this
   // small start inline on the submitting thread (GraphPlan::take_inline_tier)
   // and never promote work.
   f.serial_lower = (passes & kPassTinyLower) != 0 && n < kTinyGraphMaxNodes;
@@ -596,7 +568,7 @@ std::unique_ptr<GraphPlan> compile(GraphSpec& spec, Key sink,
   f.backing = std::move(st);
   plan->f_ = std::move(f);
 
-  proto->size_units(fused_n);
+  proto->join_ = std::make_unique<std::atomic<std::int32_t>[]>(fused_n);
   plan->adopt_prototype(std::move(proto), opts.reserve_instances);
   return plan;
 }
@@ -615,7 +587,7 @@ bool validate_frozen(const FrozenPlan& f) {
   if (f.pred_off[0] != 0 || f.succ_off[0] != 0) return false;
 
   // CSR offsets: monotone rows; join counters must equal predecessor counts
-  // (reset_for_replay rearms from initial_join, the skip/notify cascade
+  // (rearm() rearms from initial_join, the skip/notify cascade
   // counts down once per pred edge — any disagreement deadlocks a replay).
   for (std::uint64_t i = 0; i < n; ++i) {
     if (f.pred_off[i + 1] < f.pred_off[i]) return false;
@@ -702,7 +674,9 @@ bool validate_frozen(const FrozenPlan& f) {
   // Join counts and unit successor rows must match the canonical cross-unit
   // emission exactly (units in order, members in chain order, pred rows in
   // declaration order); replay arms join counters straight from unit_join,
-  // so any disagreement deadlocks or double-fires a replay.
+  // so any disagreement deadlocks or double-fires a replay. Every edge into
+  // a unit must come from a lower-numbered unit and enter at its head (the
+  // topological order inline replay runs units in).
   {
     const std::uint64_t fn = f.fused_n;
     if (fn == 0 || fn > n) return false;
@@ -746,7 +720,11 @@ bool validate_frozen(const FrozenPlan& f) {
         const std::uint32_t v = f.unit_nodes[e];
         for (std::uint32_t pe = f.pred_off[v]; pe < f.pred_off[v + 1]; ++pe) {
           const std::uint32_t pu = unit_of[f.pred_idx[pe]];
-          if (pu == u) continue;
+          if (pu == u) {
+            if (e == f.unit_off[u]) return false;  // an in-unit back edge
+            continue;
+          }
+          if (pu > u) return false;
           ++join[u];
           const std::uint32_t c = cursor[pu]++;
           if (c >= f.unit_succ_off[pu + 1]) return false;

@@ -33,7 +33,7 @@
 // A singleton replay runs on one of two tiers: inline on the submitting
 // thread, or through the scheduler. The plan measures both and runs inline
 // only when that takes under half the scheduled time (see
-// GraphPlan::take_inline_tier).
+// GraphPlan::take_inline_tier), walking units in their topological order.
 //
 // Contracts:
 //   * the GraphSpec must describe the same graph on every call (same
@@ -85,13 +85,9 @@ using nabbit::TaskGraphNode;
 /// that computes the whole run serially — the join/dispatch cost is paid
 /// once per chain instead of once per node.
 inline constexpr std::uint32_t kPassChainFusion = 1u << 0;
-/// Level-ordered layout: renumber plan indices by topological level (ties
-/// broken by color, then discovery order) so a unit's successors share
-/// cache lines at notify time. The sink stays index 0 regardless.
-inline constexpr std::uint32_t kPassLevelOrder = 1u << 1;
 /// Replay tiering: a singleton submit() may replay the plan inline on the
-/// submitting thread, through the same unit loop as every replay but with
-/// no promotion and no scheduler round trip. Whether it does is measured
+/// submitting thread, walking its units in their topological order with no
+/// join counters and no scheduler round trip. Whether it does is measured
 /// per plan: the inline tier runs when its mean serial time is under half
 /// the scheduled tier's mean residency, i.e. when scheduling overhead would
 /// be most of the replay (see GraphPlan::take_inline_tier). Until both are
@@ -99,9 +95,8 @@ inline constexpr std::uint32_t kPassLevelOrder = 1u << 1;
 /// and larger ones start on the scheduler. Masking this pass pins every
 /// replay to the scheduler, which a plan whose nodes wait on each other
 /// needs.
-inline constexpr std::uint32_t kPassTinyLower = 1u << 2;
-inline constexpr std::uint32_t kPassAll =
-    kPassChainFusion | kPassLevelOrder | kPassTinyLower;
+inline constexpr std::uint32_t kPassTinyLower = 1u << 1;
+inline constexpr std::uint32_t kPassAll = kPassChainFusion | kPassTinyLower;
 
 /// Node-count bound of the tiering prior: kPassTinyLower plans below it
 /// start inline (serial_lowered()) and never promote work when they run on
@@ -162,6 +157,13 @@ struct FrozenPlan {
   // unit_nodes order, and the per-replay join counters are per unit. The
   // per-node arrays above stay authoritative for lookups, validation, and
   // the dependence asserts.
+  //
+  // Invariant: units are numbered in a topological order. Every cross-unit
+  // edge runs from a lower-numbered unit into the head of a higher-numbered
+  // one, so running units 0..fused_n-1 in turn (the inline replay) computes
+  // every node after its predecessors. compile() emits units level-major
+  // (ties by color, then discovery order) and numbers nodes in unit order;
+  // validate_frozen() refuses any unit order that is not topological.
   std::uint32_t fused_n = 0;                     // units; 1 <= fused_n <= n
   std::uint32_t passes = 0;                      // kPass* mask applied
   bool serial_lower = false;                     // tiering prior: inline
@@ -182,9 +184,10 @@ struct FrozenPlan {
 /// span sizes, monotone CSR offsets, in-range indices, join counts equal to
 /// predecessor counts, the exact ascending root set, successor rows that
 /// are the exact transpose of the predecessor rows in compile's emission
-/// order, and a bijective key table with load <= 0.5 whose every entry is
-/// reachable by its own probe sequence (lookup termination). Returns false
-/// instead of aborting; restore() requires it to have passed.
+/// order, the topological unit order, and a bijective key table with load
+/// <= 0.5 whose every entry is reachable by its own probe sequence (lookup
+/// termination). Returns false instead of aborting; restore() requires it
+/// to have passed.
 bool validate_frozen(const FrozenPlan& f);
 
 /// Mutable per-execution state of one plan replay: the node payload slots,
@@ -253,32 +256,33 @@ class PlanInstance final : public nabbit::NodeLookup {
   /// frozen arrays came from a different graph (a stale artifact, rejected
   /// cleanly).
   bool try_build();
-  /// Sizes the per-unit arrays (join counters, inline ready buffer).
-  void size_units(std::uint32_t fused_n);
-  /// Rearms join counters, statuses, and counters for the next replay.
+  /// Resets the counters and stamps for the next replay (on acquire).
   void reset_for_replay() noexcept;
+  /// Rearms the join counters. The thread that runs the replay calls it
+  /// first, so their lines stay in its cache instead of crossing from the
+  /// submitter's core during the run.
+  void rearm() noexcept;
 
   // --- replay protocol (replay.cpp) ---------------------------------------
   void run_root(rt::Worker& w);
-  /// The replay loop: runs seeds[0, n) and every unit they make ready from
-  /// a private stack, then waits for what it promoted. `w` is null only for
-  /// an inline replay (no promotion, no locality counting), which stacks
-  /// ready units in ready_ instead.
-  void run_units(rt::Worker* w, const std::uint32_t* seeds, std::size_t n);
+  /// The scheduled replay loop: runs seeds[0, n) and every unit they make
+  /// ready from a private stack, then waits for what it promoted.
+  void run_units(rt::Worker& w, const std::uint32_t* seeds, std::size_t n);
   /// Moves half of stack[0, top) — other colors first under NabbitC — into
   /// one frame spawned on `g`, compacting the rest in place.
   void promote(rt::Worker& w, rt::TaskGroup& g, std::uint32_t* stack,
                std::uint32_t& top);
   /// Runs one fused unit's nodes serially (per-node cancel poll, locality
-  /// when `w` is non-null); returns how many computed (the rest skipped).
+  /// when `w` is non-null; null for an inline replay); returns how many
+  /// computed (the rest skipped).
   std::uint32_t execute_unit(rt::Worker* w, std::uint32_t unit);
 
   const GraphPlan* plan_;
   nabbit::NodeSlab slab_;                    // node payload storage
   std::vector<TaskGraphNode*> nodes_;        // plan index -> payload slot
+  /// Per fused UNIT (the dispatch granularity), not per node: chain fusion
+  /// is precisely the removal of intra-chain joins.
   std::unique_ptr<std::atomic<std::int32_t>[]> join_;
-  /// Inline replay's ready stack: one slot per unit, so it never spills.
-  std::unique_ptr<std::uint32_t[]> ready_;
   std::atomic<std::uint64_t> computed_{0};
   std::atomic<std::uint64_t> skipped_{0};
   /// Summed and longest compute time of this replay's units, taken only

@@ -5,12 +5,12 @@
 // are frozen CSR rows), no graph construction. It moves fused UNITS (see
 // plan.h); a unit's nodes run serially in execute_unit().
 //
-// One loop, run_units(), drives every replay: pop a ready unit from a
-// PRIVATE stack (an array on the worker's own C++ stack), run it, count down
-// its successors' joins, push the ones that became ready. Other workers
-// cannot see that stack, so a busy pool pays no spawn, deque traffic or
-// TaskGroup sync per unit. Work becomes public only on demand, as in Acar,
-// Charguéraud & Rainey's private-deque work stealing (PPoPP'13):
+// One loop, run_units(), drives every scheduled replay: pop a ready unit
+// from a PRIVATE stack (an array on the worker's own C++ stack), run it,
+// count down its successors' joins, push the ones that became ready. Other
+// workers cannot see that stack, so a busy pool pays no spawn, deque
+// traffic or TaskGroup sync per unit. Work becomes public only on demand,
+// as in Acar, Charguéraud & Rainey's private-deque work stealing (PPoPP'13):
 //
 //   * a worker is idle when parked, or when it just failed to find a task
 //     in its service loop or a helping TaskGroup::wait (Worker::mark_idle);
@@ -23,10 +23,11 @@
 //
 // Those frames are all that is ever stealable; each run_units ends with one
 // group.wait for what it promoted, and only promotion touches the arena.
-// An inline replay runs the same loop on the submitting thread (w ==
-// nullptr), without promotion, stacking ready units in a buffer the
-// instance sizes to the plan, so it never spills. Serial-lowered plans
-// (the tiny-graph prior) never promote on a worker either.
+// Serial-lowered plans (the tiny-graph prior) never promote.
+//
+// An inline replay needs none of that protocol: units are numbered in a
+// topological order (a FrozenPlan invariant), so run_inline() runs units
+// 0..fused_n-1 in turn, with no join counter and no ready stack.
 //
 // Replay tiering (GraphPlan::take_inline_tier) picks the inline or the
 // scheduled tier per singleton submission by measurement, in the manner of
@@ -142,7 +143,8 @@ void GraphPlan::record_tier_sample(
 
 void PlanInstance::run_root(rt::Worker& w) {
   const FrozenPlan& f = plan_->frozen();
-  run_units(&w, f.unit_roots.data(), f.unit_roots.size());
+  rearm();
+  run_units(w, f.unit_roots.data(), f.unit_roots.size());
   // Every node is retired exactly once per replay: computed, or skipped by
   // cooperative cancellation (the skip cascade still walks the CSR rows so
   // join counters drain and this sync returns).
@@ -154,19 +156,16 @@ void PlanInstance::run_root(rt::Worker& w) {
       "in flight, or graph mutated since compile");
 }
 
-void PlanInstance::run_units(rt::Worker* w, const std::uint32_t* seeds,
+void PlanInstance::run_units(rt::Worker& w, const std::uint32_t* seeds,
                              std::size_t n) {
   const FrozenPlan& f = plan_->frozen();
-  const bool may_promote =
-      w != nullptr && !f.serial_lower && w->scheduler().num_workers() > 1;
+  const bool may_promote = !f.serial_lower && w.scheduler().num_workers() > 1;
   rt::TaskGroup group;
-  // A worker stacks on its own C++ stack and spills when full; an inline
-  // replay (no worker to spill through) stacks in ready_, one slot per unit.
-  std::uint32_t local[kStackCap];
-  std::uint32_t* const stack = w != nullptr ? local : ready_.get();
+  // The stack lives on the worker's own C++ stack and spills when full.
+  std::uint32_t stack[kStackCap];
   std::uint32_t top = 0;
   const auto push = [&](std::uint32_t u) {
-    if (w != nullptr && top == kStackCap) promote(*w, group, stack, top);
+    if (top == kStackCap) promote(w, group, stack, top);
     stack[top++] = u;
   };
   for (std::size_t i = 0; i < n; ++i) push(seeds[i]);
@@ -174,16 +173,16 @@ void PlanInstance::run_units(rt::Worker* w, const std::uint32_t* seeds,
   // run_units instead of one per unit on a line every worker writes.
   std::uint64_t computed = 0;
   std::uint64_t retired = 0;
-  const bool stamp = w != nullptr && sample_residency_;
+  const bool stamp = sample_residency_;
   std::uint64_t work = 0;
   std::uint64_t longest = 0;
   while (top != 0) {
-    if (may_promote && top >= 2 && w->peers_idle() && w->deque().empty()) {
-      promote(*w, group, stack, top);
+    if (may_promote && top >= 2 && w.peers_idle() && w.deque().empty()) {
+      promote(w, group, stack, top);
     }
     const std::uint32_t u = stack[--top];
     const std::uint64_t t0 = stamp ? now_ns() : 0;
-    computed += execute_unit(w, u);
+    computed += execute_unit(&w, u);
     if (stamp) {
       const std::uint64_t t = now_ns() - t0;
       work += t;
@@ -211,7 +210,7 @@ void PlanInstance::run_units(rt::Worker* w, const std::uint32_t* seeds,
                                                std::memory_order_relaxed)) {
     }
   }
-  if (w != nullptr) group.wait(*w);
+  group.wait(w);
 }
 
 void PlanInstance::promote(rt::Worker& w, rt::TaskGroup& g,
@@ -244,7 +243,7 @@ void PlanInstance::promote(rt::Worker& w, rt::TaskGroup& g,
   // `g` — which outlives them: the promoting run_units waits on it.
   g.spawn(w, mask, [this, gp = &g, give, k, colors](rt::Worker& ww) {
     const auto leaf = [this](rt::Worker& lw, std::uint32_t u) {
-      run_units(&lw, &u, 1);
+      run_units(lw, &u, 1);
     };
     if (plan_->colored()) {
       const auto color_of = [colors](std::uint32_t u) { return colors[u]; };
@@ -265,7 +264,7 @@ std::uint32_t PlanInstance::execute_unit(rt::Worker* w, std::uint32_t unit) {
     TaskGraphNode* u = nodes_[index];
     // One cancellation check per node (the embedded RootJob's cancel word;
     // no clock) — fused units stay as responsive as singleton dispatch.
-    // Skipped nodes never run compute() and keep status kVisited, but the
+    // Skipped nodes never run compute() and get status kVisited, but the
     // unit still notifies successors so the replay drains.
     const bool skip = state_.job.cancel_requested();
 #ifndef NDEBUG
@@ -280,7 +279,10 @@ std::uint32_t PlanInstance::execute_unit(rt::Worker* w, std::uint32_t unit) {
       }
     }
 #endif
-    if (skip) continue;
+    if (skip) {
+      u->status_.store(nabbit::NodeStatus::kVisited, std::memory_order_relaxed);
+      continue;
+    }
     if (w != nullptr && p.count_locality()) {
       // Counted against true data placement, exactly like the dynamic path
       // (see DynamicExecutor::compute_and_notify) — but the colors come from
@@ -302,8 +304,8 @@ std::uint32_t PlanInstance::execute_unit(rt::Worker* w, std::uint32_t unit) {
 
 void PlanInstance::run_inline() {
   // Inline submission on the submitting thread: mirror the fields
-  // submit_batch() would have reset, run the replay loop, then complete the
-  // job. Nobody can observe the handle before the caller's submit()
+  // submit_batch() would have reset, run the units in order, then complete
+  // the job. Nobody can observe the handle before the caller's submit()
   // returns, so plain stores + one release on `done` suffice (and no waiter
   // can be parked on the scheduler for this job).
   rt::Scheduler::RootJob& job = state_.job;
@@ -319,15 +321,21 @@ void PlanInstance::run_inline() {
     job.try_cancel(rt::CancelReason::kDeadline);
   }
   const FrozenPlan& f = plan_->frozen();
-  run_units(nullptr, f.unit_roots.data(), f.unit_roots.size());
-  NABBITC_CHECK_MSG(
-      computed_.load(std::memory_order_relaxed) +
-              skipped_.load(std::memory_order_relaxed) ==
-          plan_->num_nodes(),
-      "serial plan replay did not retire every node");
+  rearm();
+  std::uint64_t computed = 0;
+  std::uint64_t skipped = 0;
+  for (std::uint32_t u = 0; u < f.fused_n; ++u) {
+    const std::uint32_t c = execute_unit(nullptr, u);
+    computed += c;
+    skipped += f.unit_off[u + 1] - f.unit_off[u] - c;
+  }
+  NABBITC_CHECK_MSG(computed + skipped == plan_->num_nodes(),
+                    "serial plan replay did not retire every node");
+  computed_.store(computed, std::memory_order_relaxed);
+  skipped_.store(skipped, std::memory_order_relaxed);
   state_.t_done_ns = now_ns();
   api::record_completion(state_, plan_->bound_metrics());
-  if (skipped_.load(std::memory_order_relaxed) == 0) {
+  if (skipped == 0) {
     plan_->record_tier_sample(true, state_.t_done_ns - state_.t_submit_ns, 0,
                               0);
   }

@@ -47,7 +47,12 @@ namespace nabbitc::rt {
 
 class JobArena {
  public:
-  explicit JobArena(std::size_t block_bytes = 1 << 16) : block_bytes_(block_bytes) {}
+  /// Maps the first block, with the index lists sized for it, up front: a
+  /// worker's first frame never heap-allocates, however late it comes.
+  explicit JobArena(std::size_t block_bytes = 1 << 16) : block_bytes_(block_bytes) {
+    advance_block(block_bytes_);
+    reset();
+  }
 
   JobArena(const JobArena&) = delete;
   JobArena& operator=(const JobArena&) = delete;
@@ -166,7 +171,9 @@ class JobArena {
       free_.pop_back();
     } else {
       const std::size_t bytes = std::max(need, block_bytes_);
-      blocks_.push_back(Block{std::make_unique<std::byte[]>(bytes), bytes, 0});
+      // Not zeroed: its pages stay out of the resident set until used.
+      blocks_.push_back(
+          Block{std::make_unique_for_overwrite<std::byte[]>(bytes), bytes, 0});
       held_ += bytes;
       bytes_held_.store(held_, std::memory_order_relaxed);
       idx = static_cast<std::uint32_t>(blocks_.size() - 1);

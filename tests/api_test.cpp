@@ -618,8 +618,7 @@ TEST(SubmissionControl, WaitForTimesOutThenCancelDrainsQueuedReplay) {
   } one(&acc);
   // Tiny lowering disabled: this test is about a replay QUEUED behind a
   // blocker — an inline serial replay never enters the scheduler queue.
-  auto plan = rt.compile(one, 0, 1,
-                         plan::kPassChainFusion | plan::kPassLevelOrder);
+  auto plan = rt.compile(one, 0, 1, plan::kPassAll & ~plan::kPassTinyLower);
 
   Execution b = rt.submit(blocker, 1);
   Backoff backoff;

@@ -70,6 +70,10 @@ struct FuzzDag {
   /// data is deterministic, but the overlapping same-value stores need
   /// atomicity to be a defined program (and clean under tsan).
   std::unique_ptr<std::atomic<std::uint64_t>[]> vals;
+  /// When set, node `cancel_at` cancels this job right after computing
+  /// (a node cancelling its own replay; set only around inline replays).
+  rt::Scheduler::RootJob* cancel_job = nullptr;
+  Key cancel_at = 0;
 
   static constexpr std::uint64_t kUnwritten = 0xfeedfacecafebeefULL;
 
@@ -158,6 +162,9 @@ struct FuzzNode final : TaskGraphNode {
   void compute(ExecContext&) override {
     dag->vals[static_cast<std::uint32_t>(key())].store(
         dag->node_value(key()), std::memory_order_relaxed);
+    if (dag->cancel_job != nullptr && key() == dag->cancel_at) {
+      dag->cancel_job->try_cancel(rt::CancelReason::kRequested);
+    }
   }
 };
 
@@ -262,9 +269,8 @@ TEST_P(FuzzDag8, AllVariantsBitwiseEqualAndCancelInvariantsHold) {
   // mask plumbing itself is covered; with fusion off every unit must be a
   // singleton.)
   for (api::Runtime* rt : {&nb, &nc}) {
-    for (const std::uint32_t off : {plan::kPassChainFusion,
-                                    plan::kPassLevelOrder,
-                                    plan::kPassTinyLower}) {
+    for (const std::uint32_t off :
+         {plan::kPassChainFusion, plan::kPassTinyLower}) {
       const std::uint32_t mask = plan::kPassAll & ~off;
       SCOPED_TRACE("passes=0x" + std::to_string(mask));
       auto plan = rt->compile(spec, dag.sink(), /*reserve_instances=*/1, mask);
@@ -410,9 +416,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDag8, ::testing::Range(0, 8));
 // (the second one samples the scheduled tier). Every seed checks both tiers
 // against the serial reference (fresh + replay + blob round-trip), that a
 // born-expired deadline terminates inline as kDeadlineExceeded with nothing
-// computed, that cancel() after the inline completion is harmless, and that
-// compiling the same spec with lowering disabled still matches through the
-// normal scheduler path.
+// computed, that cancel() after the inline completion is harmless, that a
+// node cancelling its own inline replay stops exactly its descendants, and
+// that compiling the same spec with lowering disabled still matches through
+// the normal scheduler path. An inline replay runs units in their
+// topological numbering, which compile() must produce under every pass
+// mask, so each check runs with all passes and with chain fusion off
+// (singleton units); the Debug builds also run execute_unit's dependence
+// check on each order.
 
 class FuzzTiny8 : public ::testing::TestWithParam<int> {};
 
@@ -430,77 +441,124 @@ TEST_P(FuzzTiny8, SerialLoweredInlineReplayMatchesSerialReference) {
   ASSERT_EQ(serial.nodes_computed(), dag.n);
   const std::uint64_t expected = dag.checksum();
 
+  // The self-cancelling node (any but the sink) and its descendants (keys
+  // are topological, so they all come after it).
+  Pcg32 rng(splitmix64(seed ^ 0x5e1f), /*stream=*/13);
+  const auto c = static_cast<std::uint32_t>(rng.below(dag.n - 1));
+  std::vector<std::uint8_t> below(dag.n, 0);
+  for (std::uint32_t i = c + 1; i < dag.n; ++i) {
+    for (const Key p : dag.preds[i]) {
+      if (p == c || below[static_cast<std::uint32_t>(p)]) below[i] = 1;
+    }
+  }
+
   auto nb = make_runtime(Variant::kNabbit);
   auto nc = make_runtime(Variant::kNabbitC);
 
   for (api::Runtime* rt : {&nb, &nc}) {
-    auto plan = rt->compile(spec, dag.sink());
-    ASSERT_TRUE(plan->serial_lowered())
-        << "tiny plan (" << dag.n << " nodes) was not lowered";
-    EXPECT_LE(plan->num_fused_nodes(), plan->num_nodes());
+    for (const std::uint32_t mask :
+         {plan::kPassAll, plan::kPassAll & ~plan::kPassChainFusion}) {
+      SCOPED_TRACE("passes=" + std::to_string(mask));
+      auto plan = rt->compile(spec, dag.sink(), /*reserve_instances=*/1, mask);
+      ASSERT_TRUE(plan->serial_lowered())
+          << "tiny plan (" << dag.n << " nodes) was not lowered";
+      EXPECT_LE(plan->num_fused_nodes(), plan->num_nodes());
 
-    for (int round = 0; round < 3; ++round) {
-      dag.clear();
-      Execution e = rt->submit(*plan);
-      // The prior: the first submission is terminal before submit returns.
-      if (round == 0) {
-        EXPECT_TRUE(e.done()) << "inline submit returned a live execution";
+      for (int round = 0; round < 3; ++round) {
+        dag.clear();
+        Execution e = rt->submit(*plan);
+        // The prior: the first submission is terminal before submit returns.
+        if (round == 0) {
+          EXPECT_TRUE(e.done()) << "inline submit returned a live execution";
+        }
+        e.wait();
+        const Status st = e.status();
+        EXPECT_EQ(st.state, ExecStatus::kCompleted) << round;
+        EXPECT_EQ(e.nodes_computed(), dag.n) << round;
+        EXPECT_EQ(st.skipped_nodes, 0u);
+        EXPECT_EQ(dag.checksum(), expected)
+            << "inline replay diverged, round " << round;
+        // cancel() after inline completion must be a harmless no-op.
+        e.cancel();
+        EXPECT_EQ(e.status().state, ExecStatus::kCompleted);
       }
-      e.wait();
-      const Status st = e.status();
-      EXPECT_EQ(st.state, ExecStatus::kCompleted) << round;
-      EXPECT_EQ(e.nodes_computed(), dag.n) << round;
-      EXPECT_EQ(st.skipped_nodes, 0u);
-      EXPECT_EQ(dag.checksum(), expected)
-          << "inline replay diverged, round " << round;
-      // cancel() after inline completion must be a harmless no-op.
-      e.cancel();
-      EXPECT_EQ(e.status().state, ExecStatus::kCompleted);
-    }
 
-    // Born-expired deadline: the inline path must honor it before computing
-    // anything — terminal kDeadlineExceeded, all nodes skipped. A fresh
-    // plan's first replay is inline.
-    {
-      auto fresh = rt->compile(spec, dag.sink());
+      // Born-expired deadline: the inline path must honor it before computing
+      // anything — terminal kDeadlineExceeded, all nodes skipped. A fresh
+      // plan's first replay is inline.
+      {
+        auto fresh = rt->compile(spec, dag.sink(), 1, mask);
+        dag.clear();
+        SubmitOptions so;
+        so.deadline_ns = 1;  // long past
+        Execution e = rt->submit(*fresh, so);
+        EXPECT_TRUE(e.done());
+        EXPECT_EQ(e.status().state, ExecStatus::kDeadlineExceeded);
+        EXPECT_EQ(e.nodes_computed(), 0u);
+        EXPECT_EQ(e.status().skipped_nodes, dag.n);
+        for (std::uint32_t i = 0; i < dag.n; ++i) {
+          EXPECT_EQ(dag.val(i), FuzzDag::kUnwritten)
+              << "expired inline submission wrote node " << i;
+        }
+      }
+
+      // A node cancelling its own inline replay (a fresh plan's first): every
+      // node retires, no descendant of it computes, and the instance recovers.
+      {
+        auto fresh = rt->compile(spec, dag.sink(), 1, mask);
+        // The pool holds one instance: the next submit gets this one.
+        plan::PlanInstance* inst = fresh->acquire();
+        dag.cancel_job = &inst->exec_state().job;
+        dag.cancel_at = c;
+        fresh->release(inst);
+        dag.clear();
+        Execution e = rt->submit(*fresh);
+        dag.cancel_job = nullptr;
+        EXPECT_TRUE(e.done());
+        const Status st = e.status();
+        EXPECT_EQ(st.state, ExecStatus::kCancelled);
+        EXPECT_EQ(e.nodes_computed() + st.skipped_nodes, dag.n);
+        EXPECT_NE(dag.val(c), FuzzDag::kUnwritten);
+        for (std::uint32_t i = c + 1; i < dag.n; ++i) {
+          if (below[i]) {
+            EXPECT_EQ(dag.val(i), FuzzDag::kUnwritten)
+                << "descendant " << i << " of cancelling node " << c
+                << " computed";
+          }
+        }
+        dag.clear();
+        Execution ok = rt->run(*fresh);
+        EXPECT_EQ(ok.nodes_computed(), dag.n);
+        EXPECT_EQ(dag.checksum(), expected);
+      }
+
+      // Blob round-trip preserves the lowering decision and replays bitwise.
+      const auto blob = persist::serialize_plan(*plan, /*spec_bytes=*/{},
+                                                /*spec_hash=*/seed | 1);
+      auto backing = std::make_shared<std::vector<std::uint8_t>>(blob);
+      persist::PlanBlobView view;
+      ASSERT_EQ(view.parse({backing->data(), backing->size()}),
+                persist::BlobError::kOk);
+      auto restored = rt->restore_plan(spec, dag.sink(), view.frozen(backing),
+                                       view.colored(), view.count_locality());
+      ASSERT_NE(restored, nullptr);
+      EXPECT_TRUE(restored->serial_lowered())
+          << "blob round-trip dropped the serial-lowered flag";
       dag.clear();
-      SubmitOptions so;
-      so.deadline_ns = 1;  // long past
-      Execution e = rt->submit(*fresh, so);
-      EXPECT_TRUE(e.done());
-      EXPECT_EQ(e.status().state, ExecStatus::kDeadlineExceeded);
-      EXPECT_EQ(e.nodes_computed(), 0u);
-      EXPECT_EQ(e.status().skipped_nodes, dag.n);
-      EXPECT_EQ(dag.val(dag.n - 1), FuzzDag::kUnwritten)
-          << "expired inline submission wrote the sink";
+      Execution e = rt->run(*restored);
+      EXPECT_EQ(e.nodes_computed(), dag.n);
+      EXPECT_EQ(dag.checksum(), expected) << "restored tiny plan diverged";
+
+      // Lowering disabled: same spec through the scheduler path, same bits.
+      auto queued = rt->compile(spec, dag.sink(), /*reserve_instances=*/1,
+                                mask & ~plan::kPassTinyLower);
+      EXPECT_FALSE(queued->serial_lowered());
+      dag.clear();
+      Execution qe = rt->run(*queued);
+      EXPECT_EQ(qe.nodes_computed(), dag.n);
+      EXPECT_EQ(dag.checksum(), expected)
+          << "scheduler-path tiny plan diverged from inline path";
     }
-
-    // Blob round-trip preserves the lowering decision and replays bitwise.
-    const auto blob = persist::serialize_plan(*plan, /*spec_bytes=*/{},
-                                              /*spec_hash=*/seed | 1);
-    auto backing = std::make_shared<std::vector<std::uint8_t>>(blob);
-    persist::PlanBlobView view;
-    ASSERT_EQ(view.parse({backing->data(), backing->size()}),
-              persist::BlobError::kOk);
-    auto restored = rt->restore_plan(spec, dag.sink(), view.frozen(backing),
-                                     view.colored(), view.count_locality());
-    ASSERT_NE(restored, nullptr);
-    EXPECT_TRUE(restored->serial_lowered())
-        << "blob round-trip dropped the serial-lowered flag";
-    dag.clear();
-    Execution e = rt->run(*restored);
-    EXPECT_EQ(e.nodes_computed(), dag.n);
-    EXPECT_EQ(dag.checksum(), expected) << "restored tiny plan diverged";
-
-    // Lowering disabled: same spec through the scheduler path, same bits.
-    auto queued = rt->compile(spec, dag.sink(), /*reserve_instances=*/1,
-                              plan::kPassAll & ~plan::kPassTinyLower);
-    EXPECT_FALSE(queued->serial_lowered());
-    dag.clear();
-    Execution qe = rt->run(*queued);
-    EXPECT_EQ(qe.nodes_computed(), dag.n);
-    EXPECT_EQ(dag.checksum(), expected)
-        << "scheduler-path tiny plan diverged from inline path";
   }
 }
 

@@ -275,6 +275,116 @@ TEST(PlanBlob, DistinctErrorsForEachRefusal) {
   }
 }
 
+/// Two nodes: a (key 1) -> b (key 0, the sink).
+struct PairNode final : nabbit::TaskGraphNode {
+  void init(nabbit::ExecContext&) override {
+    if (key() == 0) add_predecessor(1);
+  }
+  void compute(nabbit::ExecContext&) override {}
+};
+
+struct PairSpec final : nabbit::GraphSpec {
+  nabbit::TaskGraphNode* create(nabbit::NodeArena& arena,
+                                nabbit::Key) override {
+    return arena.create<PairNode>();
+  }
+  std::size_t expected_nodes() const override { return 2; }
+};
+
+/// The unit schedule of a -> b as two singleton units, `first` numbered 0.
+struct PairUnits {
+  std::vector<std::uint32_t> unit_nodes;
+  std::vector<std::int32_t> unit_join;
+  std::vector<std::uint32_t> unit_succ_off;
+  std::vector<std::uint32_t> unit_succ_idx;
+  std::vector<std::uint32_t> unit_roots;
+  std::vector<numa::Color> unit_colors;
+
+  PairUnits(const plan::FrozenPlan& f, std::uint32_t a, std::uint32_t b,
+            bool a_first) {
+    if (a_first) {
+      unit_nodes = {a, b};
+      unit_join = {0, 1};
+      unit_succ_off = {0, 1, 1};
+      unit_succ_idx = {1};
+      unit_roots = {0};
+    } else {
+      unit_nodes = {b, a};
+      unit_join = {1, 0};
+      unit_succ_off = {0, 0, 1};
+      unit_succ_idx = {0};
+      unit_roots = {1};
+    }
+    unit_colors = {f.colors[unit_nodes[0]], f.colors[unit_nodes[1]]};
+  }
+
+  plan::FrozenPlan apply(plan::FrozenPlan f) const {
+    f.unit_nodes = unit_nodes;
+    f.unit_join = unit_join;
+    f.unit_succ_off = unit_succ_off;
+    f.unit_succ_idx = unit_succ_idx;
+    f.unit_roots = unit_roots;
+    f.unit_colors = unit_colors;
+    return f;
+  }
+};
+
+TEST(PlanBlob, BackwardUnitOrderRefused) {
+  // Units must be numbered in a topological order: inline replay runs them
+  // 0, 1, ... without join counters. a -> b with fusion off is two
+  // singleton units; numbering b's unit 0, with unit_join, unit_succ and
+  // unit_roots rewritten to match, is consistent in every other respect,
+  // but running it in order would compute b before a.
+  auto rt = make_runtime(Variant::kNabbitC);
+  PairSpec spec;
+  auto plan = rt.compile(spec, 0, /*reserve_instances=*/1,
+                         plan::kPassAll & ~plan::kPassChainFusion);
+  const plan::FrozenPlan& f = plan->frozen();
+  ASSERT_EQ(f.fused_n, 2u);
+  const std::uint32_t a = plan->index_of(1);
+  const std::uint32_t b = plan->index_of(0);
+  const PairUnits forward(f, a, b, /*a_first=*/true);
+  const PairUnits backward(f, a, b, /*a_first=*/false);
+  // The hand-written forward schedule is what compile() emits.
+  expect_span_eq(f.unit_nodes,
+                 std::span<const std::uint32_t>{forward.unit_nodes},
+                 "unit_nodes");
+  EXPECT_TRUE(plan::validate_frozen(forward.apply(f)));
+  EXPECT_FALSE(plan::validate_frozen(backward.apply(f)));
+  EXPECT_EQ(rt.restore_plan(spec, 0, backward.apply(f),
+                            /*artifact_colored=*/true,
+                            /*artifact_count_locality=*/true),
+            nullptr);
+
+  // The same swap written into a resealed blob: a structural refusal.
+  std::vector<std::uint8_t> bad = serialize_plan(*plan, {}, /*spec_hash=*/5);
+  PlanBlobHeader h;
+  std::memcpy(&h, bad.data(), sizeof(h));
+  const auto put = [&](std::uint32_t sec, const auto& v) {
+    std::memcpy(bad.data() + h.section_off[sec], v.data(),
+                v.size() * sizeof(v[0]));
+  };
+  put(kSecUnitNodes, backward.unit_nodes);
+  put(kSecUnitJoin, backward.unit_join);
+  put(kSecUnitSuccOff, backward.unit_succ_off);
+  put(kSecUnitSuccIdx, backward.unit_succ_idx);
+  put(kSecUnitRoots, backward.unit_roots);
+  put(kSecUnitColors, backward.unit_colors);
+  reseal_blob({bad.data(), bad.size()});
+  PlanBlobView view;
+  EXPECT_EQ(view.parse({bad.data(), bad.size()}), BlobError::kBadStructure);
+
+  // A blob of the previous version, which did not promise the order, is
+  // refused by its stamp before anything else is read.
+  std::vector<std::uint8_t> old = serialize_plan(*plan, {}, /*spec_hash=*/5);
+  std::memcpy(&h, old.data(), sizeof(h));
+  h.version = kPlanBlobVersion - 1;
+  std::memcpy(old.data(), &h, sizeof(h));
+  reseal_blob({old.data(), old.size()});
+  EXPECT_STREQ(blob_error_name(view.parse({old.data(), old.size()})),
+               "bad-version");
+}
+
 TEST(PlanBlob, EmptySpecBytesAllowed) {
   auto rt = make_runtime(Variant::kNabbit);
   // A generic (non-wire) plan can be persisted without spec bytes; the

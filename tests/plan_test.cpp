@@ -1004,6 +1004,81 @@ TEST(PlanAlloc, SubmitOptionsKeepSteadyStateAllocationFree) {
   EXPECT_EQ(hooks.load(), 21);
 }
 
+/// One node (key 0) that holds its worker from compute() until `release`.
+struct HoldCtx {
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+};
+
+struct HoldNode final : TaskGraphNode {
+  HoldCtx* ctx;
+  explicit HoldNode(HoldCtx* c) : ctx(c) {}
+  void init(ExecContext&) override {}
+  void compute(ExecContext&) override {
+    ctx->started.store(true);
+    while (!ctx->release.load()) std::this_thread::yield();
+  }
+};
+
+struct HoldSpec final : GraphSpec {
+  HoldCtx* ctx;
+  explicit HoldSpec(HoldCtx* c) : ctx(c) {}
+  TaskGraphNode* create(NodeArena& arena, Key) override {
+    return arena.create<HoldNode>(ctx);
+  }
+  Color color_of(Key) const override { return 0; }
+  std::size_t expected_nodes() const override { return 1; }
+};
+
+TEST(PlanAlloc, FirstScheduledReplayAfterInlineStretchIsAllocationFree) {
+  // Each worker's frame arena maps its first block when the runtime starts,
+  // so a worker's first promotion never heap-allocates, however late it
+  // comes. Here it is the first scheduled re-sample of a wavefront that
+  // settled inline on a fresh runtime: replay 0 (scheduled, the prior at
+  // 256 nodes) runs while a holder job occupies the other worker, so it
+  // cannot promote and no arena is touched before the counted window.
+  for (Variant v : {Variant::kNabbit, Variant::kNabbitC}) {
+    auto rt = make_runtime(v);
+    HoldCtx hold;
+    HoldSpec hold_spec(&hold);
+    auto holder = rt.compile(hold_spec, 0, /*reserve_instances=*/1,
+                             plan::kPassAll & ~plan::kPassTinyLower);
+    constexpr std::uint32_t kSide = 16;
+    WaveGrid g(kSide, 33);
+    WaveSpec spec(&g);
+    auto plan = rt.compile(spec, key_pack(kSide - 1, kSide - 1));
+    const std::uint64_t expected = WaveGrid::expected_checksum(kSide, 33);
+    {
+      Execution h = rt.submit(*holder);
+      while (!hold.started.load()) std::this_thread::yield();
+      Execution e = rt.run(*plan);
+      EXPECT_TRUE(ran_scheduled(e));
+      EXPECT_EQ(g.checksum(), expected);
+      hold.release.store(true);
+      h.wait();
+    }
+    rt.wait_idle();
+
+    // Replay 1 samples the inline tier; the first scheduled replay after
+    // it is the re-sample (replay 17 once the plan settles inline).
+    bool scheduled = false;
+    int replays = 0;
+    counting_alloc::begin();
+    while (!scheduled && replays < 2 * int{plan::kTierFirstProbeInterval}) {
+      g.clear();
+      Execution e = rt.run(*plan);
+      scheduled = ran_scheduled(e);
+      ++replays;
+    }
+    const std::uint64_t allocs = counting_alloc::end();
+    ASSERT_TRUE(scheduled) << "no scheduled replay in " << replays;
+    EXPECT_EQ(g.checksum(), expected);
+    EXPECT_EQ(allocs, 0u) << "the first scheduled replay after " << replays - 1
+                          << " inline ones heap-allocated (variant "
+                          << variant_name(v) << ")";
+  }
+}
+
 // ------------------------------------------------------- bounded arenas
 
 TEST(PlanArena, NeverQuiescentSubmissionChainHoldsArenaBytesBounded) {

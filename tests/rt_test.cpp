@@ -201,18 +201,22 @@ TEST(Scheduler, FrameWatermarkAdvancesAsJobsComplete) {
   cfg.num_workers = 2;
   Scheduler sched(cfg);
   EXPECT_EQ(sched.frames_completed_upto(), 0u);
+  // Each worker's arena maps its first block up front.
+  const std::size_t premapped = sched.frame_arena_bytes();
   for (int i = 0; i < 3; ++i) {
     sched.execute([](Worker& w) {
+      // More frames than one block holds, all live until the wait.
       TaskGroup g;
-      for (int s = 0; s < 8; ++s) g.spawn(w, ColorMask{}, [](Worker&) {});
+      for (int s = 0; s < 4096; ++s) g.spawn(w, ColorMask{}, [](Worker&) {});
       g.wait(w);
     });
   }
   sched.wait_idle();
   // All three submissions finished: every frame epoch is reclaimable.
   EXPECT_EQ(sched.frames_completed_upto(), 3u);
-  // The spawned frames came from worker arenas, so block storage is held.
-  EXPECT_GT(sched.frame_arena_bytes(), 0u);
+  // The spawned frames came from worker arenas, which outgrew their first
+  // block and still hold the storage.
+  EXPECT_GT(sched.frame_arena_bytes(), premapped);
 }
 
 // ------------------------------------------------------------------- deque

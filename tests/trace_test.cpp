@@ -206,8 +206,7 @@ TEST(Collector, CancelledRootEmitsCancelEventMatchingCounters) {
   // Tiny lowering disabled: this test asserts the SCHEDULER's terminal
   // cancel accounting (worker counters + kCancel trace events), which an
   // inline serial replay never reaches by design.
-  auto plan = rt.compile(spec, 0, 1,
-                         plan::kPassChainFusion | plan::kPassLevelOrder);
+  auto plan = rt.compile(spec, 0, 1, plan::kPassAll & ~plan::kPassTinyLower);
 
   {
     api::Execution e = rt.submit(*plan);
